@@ -1,5 +1,8 @@
 """Photon statistics and beam-splitter entanglement of photon-added nonlinear
-coherent states, with certified adaptive truncation of the Fock series."""
+coherent states, with certified adaptive truncation of the Fock series.
+
+The extended-precision reference path lives in ``fockseries.oracle`` and is
+not imported here, so the package and its CLI load without mpmath."""
 
 from ._version import __version__
 from .entangle import (
@@ -20,7 +23,6 @@ from .errors import (
     UnnormalizedInput,
     VacuumUndefined,
 )
-from .oracle import PrecisionConfig, oracle_entropy, oracle_statistics, write_fixtures
 from .series import (
     DEFAULT_HARD_CAP,
     DEFAULT_REL_TOL,
@@ -36,7 +38,7 @@ from .series import (
     truncate,
     weight_ratio,
 )
-from .states import NonlinearityModel, StateSpec, penson_solomon_state
+from .states import StateSpec, penson_solomon_state
 from .sweep import (
     OBSERVABLES,
     PRESETS,
@@ -62,11 +64,9 @@ __all__ = [
     "InvalidParameter",
     "InvalidTheta",
     "JointAmplitudes",
-    "NonlinearityModel",
     "OBSERVABLES",
     "PRESETS",
     "PhotonStatistics",
-    "PrecisionConfig",
     "StateSpec",
     "SweepRequest",
     "TruncatedSeries",
@@ -77,8 +77,6 @@ __all__ = [
     "linear_entropy",
     "log_weight",
     "normalization_log",
-    "oracle_entropy",
-    "oracle_statistics",
     "parse_policy",
     "penson_solomon_state",
     "photon_distribution",
@@ -89,5 +87,4 @@ __all__ = [
     "split",
     "truncate",
     "weight_ratio",
-    "write_fixtures",
 ]

@@ -3,7 +3,7 @@
 Subcommands: ``sweep`` (one observable over an |alpha| grid), ``preset``
 (figure-reproduction bundles), ``plot`` (gnuplot script from a preset
 manifest).  Exit codes: 0 success, 2 bad arguments, 3 numeric failure
-(adaptive hard cap), 4 I/O failure.
+(adaptive hard cap, including a term ratio that overflows), 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -39,9 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="evaluate one observable over an |alpha| grid")
     sweep.add_argument("--observable", required=True, choices=OBSERVABLES)
     sweep.add_argument("--q", type=float, default=1.0,
-                       help="deformation parameter in (0, 1]; 1 is the identity model")
-    sweep.add_argument("--nonlinearity", choices=("penson-solomon", "identity"),
-                       default="penson-solomon")
+                       help="deformation parameter in (0, 1]; 1 gives photon-added coherent states")
     sweep.add_argument("--k", type=int, default=0, help="number of added photons")
     sweep.add_argument("--alpha-min", type=float, default=None)
     sweep.add_argument("--alpha-max", type=float, default=None)
@@ -65,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.nonlinearity == "identity" and args.q != 1.0:
-        raise FockSeriesError("identity nonlinearity requires --q 1")
     lo, hi, steps = DEFAULT_GRIDS[args.observable]
     req = SweepRequest(
         observable=args.observable,

@@ -6,10 +6,12 @@ component splits as
 
     |m, 0>  ->  sum_j sqrt(C(m, j)) t^j r^(m-j) |j, m-j>,
 
-so with real nonnegative input amplitudes c_m (phases factor out of the
-reduced density matrix, a tested invariant) the joint amplitudes are
-A(j, l) = c_{j+l} sqrt(C(j+l, j)) t^j r^l.  The entanglement measure is the
-linear entropy S = 1 - Tr(rho_a^2) of the transmitted mode's reduced state.
+so with real nonnegative input amplitudes c_m the joint amplitudes are the
+real numbers A(j, l) = c_{j+l} sqrt(C(j+l, j)) t^j r^l.  Other phase
+conventions for the reflected arm multiply each column l by a unit phase,
+which leaves the reduced state's purity unchanged (a tested invariant).
+The entanglement measure is the linear entropy S = 1 - Tr(rho_a^2) of the
+transmitted mode's reduced state.
 """
 from __future__ import annotations
 
@@ -20,8 +22,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import InvalidParameter, InvalidTheta, UnnormalizedInput
-from .series import TruncatedSeries, normalization_log, _check_series_spec
-from .states import StateSpec
+from .series import TruncatedSeries, normalization_log
 
 # absolute slack on the unit-norm check, covering accumulated rounding when
 # the source series is exact (tail bound 0)
@@ -75,20 +76,16 @@ class EntanglementResult:
 
 
 def split(series: TruncatedSeries,
-          spec: StateSpec | None = None,
           setting: BeamSplitterSetting = BeamSplitterSetting(),
           *,
-          allow_unconverged: bool = False,
-          _reflected_arm_phase: bool = False) -> JointAmplitudes:
+          allow_unconverged: bool = False) -> JointAmplitudes:
     """Expand (state tensor vacuum) over the joint Fock basis of the outputs.
 
     Amplitudes are assembled in log-space (ln c_m + half log-binomial +
     j ln t + l ln r) and exponentiated, one total-photon-number
-    anti-diagonal at a time.  ``_reflected_arm_phase`` is a test-only switch
-    that attaches the alternate-convention phase i^l to the reflected arm;
-    observables must not change under it.
+    anti-diagonal at a time.  theta in (0, pi/2] keeps t and r positive
+    (cos(pi/2) is 6.1e-17 in floating point), so both logs are finite.
     """
-    spec = _check_series_spec(series, spec)
     if not isinstance(setting, BeamSplitterSetting):
         raise InvalidTheta("setting must be a BeamSplitterSetting")
     if not series.converged and not allow_unconverged:
@@ -97,58 +94,49 @@ def split(series: TruncatedSeries,
 
     ln_norm = normalization_log(series)
     ln_c = ln_norm + 0.5 * series.log_weights  # ln c_m, m = n + k
-    k = spec.k
+    k = series.spec.k
     dim = series.n_max + k + 1
-    t = setting.transmittance
-    r = setting.reflectance
-    ln_t = math.log(t) if t > 0.0 else -math.inf
-    ln_r = math.log(r) if r > 0.0 else -math.inf
+    ln_t = math.log(setting.transmittance)
+    ln_r = math.log(setting.reflectance)
 
-    matrix = np.zeros((dim, dim), dtype=complex if _reflected_arm_phase else float)
+    matrix = np.zeros((dim, dim))
     lg = gammaln(np.arange(dim + 1, dtype=np.float64) + 1.0)
     for m in range(k, dim):
         j = np.arange(m + 1)
         ln_binom_half = 0.5 * (lg[m] - lg[j] - lg[m - j])
-        # 0 * log(0) is 0 by convention (t may vanish at the interval edge)
-        pow_t = np.where(j == 0, 0.0, -np.inf) if math.isinf(ln_t) else j * ln_t
-        pow_r = np.where(j == m, 0.0, -np.inf) if math.isinf(ln_r) else (m - j) * ln_r
-        amps = np.exp(ln_c[m - k] + ln_binom_half + pow_t + pow_r)
-        if _reflected_arm_phase:
-            amps = amps * (1j ** ((m - j) % 4))
-        matrix[j, m - j] = amps
+        matrix[j, m - j] = np.exp(ln_c[m - k] + ln_binom_half + j * ln_t + (m - j) * ln_r)
     return JointAmplitudes(matrix=matrix, theta=setting.theta,
                            source_tail_bound=series.tail_bound_rel,
                            converged=series.converged)
 
 
 def reduced_purity(amps: JointAmplitudes) -> float:
-    """Tr(rho_a^2) for rho_a(j, j') = sum_l A(j, l) conj(A(j', l)).
+    """Tr(rho_a^2) for rho_a(j, j') = sum_l A(j, l) A(j', l).
 
     The Gram matrix is accumulated row by row over j' >= j (rho_a is
-    Hermitian, halving the work) without materializing the full density
+    symmetric, halving the work) without materializing the full density
     matrix; memory stays O(D) per row.
     """
     a = amps.matrix
-    norm = float(np.sum(np.abs(a) ** 2))
+    norm = float(np.sum(a ** 2))
     tol = 10.0 * amps.source_tail_bound + _NORM_FLOOR
     if not math.isfinite(norm) or abs(norm - 1.0) > tol:
         raise UnnormalizedInput(
             f"joint amplitudes have squared norm {norm!r}, beyond 1 +/- {tol:g}")
     purity = 0.0
     for j in range(a.shape[0]):
-        g = a[j:] @ np.conj(a[j])
-        gsq = np.abs(g) ** 2
+        g = a[j:] @ a[j]
+        gsq = g ** 2
         purity += gsq[0] + 2.0 * gsq[1:].sum()
     return float(purity)
 
 
 def linear_entropy(series: TruncatedSeries,
-                   spec: StateSpec | None = None,
                    setting: BeamSplitterSetting = BeamSplitterSetting(),
                    *,
                    allow_unconverged: bool = False) -> EntanglementResult:
     """S = 1 - Tr(rho_a^2) of the transmitted mode after splitting with vacuum."""
-    amps = split(series, spec, setting, allow_unconverged=allow_unconverged)
+    amps = split(series, setting, allow_unconverged=allow_unconverged)
     purity = reduced_purity(amps)
     return EntanglementResult(purity=purity,
                               linear_entropy=1.0 - purity,

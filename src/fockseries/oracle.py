@@ -89,11 +89,10 @@ def oracle_statistics(spec: StateSpec,
         mean = s1 / total
         if mean == 0:
             raise VacuumUndefined("Mandel Q undefined for the vacuum")
-        mean2 = s2 / total
-        variance = mean2 - mean ** 2
+        variance = s2 / total - mean ** 2
         mandel = variance / mean - 1
-    return PhotonStatistics(mean_n=mean, mean_n2=mean2, variance=variance,
-                            mandel_q=mandel, tail_bound_rel=tail, converged=True)
+    return PhotonStatistics(mean_n=mean, variance=variance, mandel_q=mandel,
+                            tail_bound_rel=tail, converged=True)
 
 
 def oracle_entropy(spec: StateSpec,

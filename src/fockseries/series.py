@@ -90,7 +90,6 @@ class TruncatedSeries:
 @dataclass(frozen=True)
 class PhotonStatistics:
     mean_n: float
-    mean_n2: float
     variance: float
     mandel_q: float
     tail_bound_rel: float
@@ -129,7 +128,11 @@ def weight_ratio(spec: StateSpec, n: int) -> float:
 
 
 def _ratio_constant(spec: StateSpec) -> float:
-    return spec.alpha_abs ** 2 * spec.q ** (-2 * spec.k)
+    # float ** raises instead of returning inf; callers test isfinite
+    try:
+        return spec.alpha_abs ** 2 * spec.q ** (-2 * spec.k)
+    except OverflowError:
+        return math.inf
 
 
 def _log_weights_block(spec: StateSpec, n_lo: int, n_hi: int) -> np.ndarray:
@@ -187,13 +190,17 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
     raise InvalidParameter(f"unknown truncation policy {policy!r}")
 
 
+def _point(spec: StateSpec) -> str:
+    return f"q={spec.q!r}, k={spec.k}, |alpha|={spec.alpha_abs!r}"
+
+
 def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation) -> TruncatedSeries:
     # ratio at the cap is exact and overflow-safe; if it is still >= 1 there,
     # the peak lies past the cap and no stopping test can ever pass
     if (not math.isfinite(_ratio_constant(spec))
             or weight_ratio(spec, policy.hard_cap) >= 1.0):
         raise HardCapExceeded(
-            f"term ratio stays >= 1 at hard_cap={policy.hard_cap}; "
+            f"{_point(spec)}: term ratio stays >= 1 at hard_cap={policy.hard_cap}; "
             "the series peak is beyond desk scale")
     n_peak = _first_subunit_ratio_index(spec)
 
@@ -228,7 +235,7 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation) -> Truncated
         n += 1
         if n > policy.hard_cap:
             raise HardCapExceeded(
-                f"adaptive truncation passed hard_cap={policy.hard_cap} "
+                f"{_point(spec)}: adaptive truncation passed hard_cap={policy.hard_cap} "
                 f"without certifying rel_tol={policy.rel_tol}")
 
 
@@ -247,51 +254,40 @@ def _truncate_fixed(spec: StateSpec, policy: FixedTruncation) -> TruncatedSeries
                            converged=bound <= DEFAULT_REL_TOL)
 
 
-def _check_series_spec(series: TruncatedSeries, spec: StateSpec | None) -> StateSpec:
-    if spec is not None and spec != series.spec:
-        raise InvalidParameter("series was built from a different StateSpec")
-    return series.spec
-
-
 def normalization_log(series: TruncatedSeries) -> float:
     """ln N = -(1/2) ln sum_n w_n over the retained weights."""
     return -0.5 * float(logsumexp(series.log_weights))
 
 
-def photon_distribution(series: TruncatedSeries,
-                        spec: StateSpec | None = None) -> list[tuple[int, float]]:
+def photon_distribution(series: TruncatedSeries) -> list[tuple[int, float]]:
     """Retained photon-number distribution [(k, P(k)), (k+1, P(k+1)), ...].
 
     Support starts at photon number k; probabilities are normalized over the
     retained terms and therefore sum to 1 up to rounding (the true
     distribution differs by at most tail_bound_rel).
     """
-    spec = _check_series_spec(series, spec)
     lws = series.log_weights
     z = np.exp(lws - lws.max())
     p = z / z.sum()
-    return [(n + spec.k, float(pn)) for n, pn in enumerate(p)]
+    return [(n + series.spec.k, float(pn)) for n, pn in enumerate(p)]
 
 
-def photon_statistics(series: TruncatedSeries,
-                      spec: StateSpec | None = None) -> PhotonStatistics:
-    """Mean, second moment, variance, and Mandel Q of the retained distribution.
+def photon_statistics(series: TruncatedSeries) -> PhotonStatistics:
+    """Mean, variance, and Mandel Q of the retained distribution.
 
     Two-pass evaluation: the mean first, then the variance in centered form
     sum w_n (n+k-mu)^2 / sum w_n, which avoids the cancellation of
     <n^2> - <n>^2 when the mean is large.  Q = variance/mean - 1.
     """
-    spec = _check_series_spec(series, spec)
     lws = series.log_weights
     z = np.exp(lws - lws.max())
-    ns = np.arange(lws.size, dtype=np.float64) + spec.k
+    ns = np.arange(lws.size, dtype=np.float64) + series.spec.k
     total = z.sum()
     mean = float((z * ns).sum() / total)
     if mean == 0.0:
         raise VacuumUndefined("Mandel Q undefined for the vacuum (mean photon number 0)")
     variance = float((z * (ns - mean) ** 2).sum() / total)
     return PhotonStatistics(mean_n=mean,
-                            mean_n2=variance + mean * mean,
                             variance=variance,
                             mandel_q=variance / mean - 1.0,
                             tail_bound_rel=series.tail_bound_rel,

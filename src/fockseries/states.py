@@ -1,80 +1,29 @@
-"""State family: deformation models and state parameters.
+"""State parameters.
 
 The states are photon-added nonlinear coherent states: a coherent amplitude
-alpha, k added photons, and a photon-number deformation f(n).  The supported
-deformation is the Penson-Solomon family f(n) = q^(1-n) with 0 < q <= 1;
-q = 1 (the identity deformation) recovers ordinary photon-added coherent
-states.
+of modulus |alpha|, k added photons, and the Penson-Solomon deformation
+f(n) = q^(1-n) with 0 < q <= 1; q = 1 recovers ordinary photon-added coherent
+states.  Every statistic depends on the amplitude only through its modulus,
+so the phase is not a parameter.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidParameter
-
-PENSON_SOLOMON = "penson-solomon"
-IDENTITY = "identity"
-
-
-@dataclass(frozen=True)
-class NonlinearityModel:
-    """Deformation function f(n) applied to the photon-number amplitudes.
-
-    ``penson-solomon``: f(n) = q^(1-n), 0 < q <= 1.  q = 0 is rejected
-    (f diverges).  ``identity``: f(n) = 1, stored as q = 1 so both variants
-    share the same closed forms.
-    """
-
-    kind: str = IDENTITY
-    q: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in (PENSON_SOLOMON, IDENTITY):
-            raise InvalidParameter(f"unknown nonlinearity {self.kind!r}")
-        q = float(self.q)
-        if self.kind == IDENTITY and q != 1.0:
-            raise InvalidParameter("identity nonlinearity requires q = 1")
-        if not (0.0 < q <= 1.0) or not math.isfinite(q):
-            raise InvalidParameter(f"deformation parameter q must be in (0, 1], got {self.q}")
-        object.__setattr__(self, "q", q)
-
-    @classmethod
-    def penson_solomon(cls, q: float) -> "NonlinearityModel":
-        return cls(kind=PENSON_SOLOMON, q=q)
-
-    @classmethod
-    def identity(cls) -> "NonlinearityModel":
-        return cls(kind=IDENTITY, q=1.0)
-
-    @classmethod
-    def from_name(cls, name: str, q: float | None = None) -> "NonlinearityModel":
-        """Build from a configuration name (``penson-solomon`` or ``identity``)."""
-        name = name.strip().lower()
-        if name == IDENTITY:
-            if q not in (None, 1, 1.0):
-                raise InvalidParameter("identity nonlinearity takes no q")
-            return cls.identity()
-        if name == PENSON_SOLOMON:
-            if q is None:
-                raise InvalidParameter("penson-solomon nonlinearity requires q")
-            return cls.penson_solomon(q)
-        raise InvalidParameter(f"unknown nonlinearity name {name!r}")
 
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Parameters of one photon-added nonlinear coherent state.
+    """Parameters of one photon-added Penson-Solomon state.
 
-    All downstream statistics depend on the coherent amplitude only through
-    its modulus ``alpha_abs``; ``alpha_phase`` is carried for completeness and
-    never enters the weights (tested invariant).
+    q = 0 is rejected (f diverges).
     """
 
     alpha_abs: float
     k: int
-    nonlinearity: NonlinearityModel = field(default_factory=NonlinearityModel.identity)
-    alpha_phase: float = 0.0
+    q: float = 1.0
 
     def __post_init__(self) -> None:
         a = float(self.alpha_abs)
@@ -82,21 +31,13 @@ class StateSpec:
             raise InvalidParameter(f"alpha_abs must be a finite nonnegative real, got {self.alpha_abs}")
         if not isinstance(self.k, (int,)) or isinstance(self.k, bool) or self.k < 0:
             raise InvalidParameter(f"k must be a nonnegative integer, got {self.k!r}")
-        if not isinstance(self.nonlinearity, NonlinearityModel):
-            raise InvalidParameter("nonlinearity must be a NonlinearityModel")
-        if not math.isfinite(float(self.alpha_phase)):
-            raise InvalidParameter("alpha_phase must be finite")
+        q = float(self.q)
+        if not (0.0 < q <= 1.0) or not math.isfinite(q):
+            raise InvalidParameter(f"deformation parameter q must be in (0, 1], got {self.q}")
         object.__setattr__(self, "alpha_abs", a)
-        object.__setattr__(self, "alpha_phase", float(self.alpha_phase))
-
-    @property
-    def q(self) -> float:
-        """Effective deformation parameter (1.0 for the identity model)."""
-        return self.nonlinearity.q
+        object.__setattr__(self, "q", q)
 
 
-def penson_solomon_state(alpha_abs: float, k: int, q: float, alpha_phase: float = 0.0) -> StateSpec:
+def penson_solomon_state(alpha_abs: float, k: int, q: float) -> StateSpec:
     """Shorthand for a Penson-Solomon state spec."""
-    return StateSpec(alpha_abs=alpha_abs, k=k,
-                     nonlinearity=NonlinearityModel.penson_solomon(q),
-                     alpha_phase=alpha_phase)
+    return StateSpec(alpha_abs=alpha_abs, k=k, q=q)

@@ -1,14 +1,10 @@
 """Parameter sweeps over |alpha|, figure presets, and plot-script emission.
 
-Grid points are independent pure evaluations; FOCKSERIES_THREADS > 1 runs
-them on a thread pool, but rows are always written in grid order so output
-bytes never depend on scheduling.
+Grid points are independent pure evaluations, written in grid order.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,14 +95,6 @@ def _grid(alpha_min: float, alpha_max: float, steps: int) -> list[float]:
     return [float(a) for a in np.linspace(alpha_min, alpha_max, steps)]
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("FOCKSERIES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _evaluate_point(req: SweepRequest, alpha: float) -> list[tuple]:
     """Rows for one grid point (several rows when observable=distribution)."""
     spec = penson_solomon_state(alpha, req.k, req.q)
@@ -132,14 +120,8 @@ def _evaluate_point(req: SweepRequest, alpha: float) -> list[tuple]:
 
 
 def evaluate_sweep(req: SweepRequest) -> list[tuple]:
-    alphas = _grid(req.alpha_min, req.alpha_max, req.steps)
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(lambda a: _evaluate_point(req, a), alphas))
-    else:
-        per_point = [_evaluate_point(req, a) for a in alphas]
-    return [row for rows in per_point for row in rows]
+    return [row for alpha in _grid(req.alpha_min, req.alpha_max, req.steps)
+            for row in _evaluate_point(req, alpha)]
 
 
 def _sweep_metadata(req: SweepRequest) -> dict:

@@ -16,12 +16,11 @@ from fockseries import (
     FixedTruncation,
     linear_entropy,
     log_weight,
-    oracle_entropy,
-    oracle_statistics,
     penson_solomon_state,
     photon_statistics,
     truncate,
 )
+from fockseries.oracle import oracle_entropy, oracle_statistics
 
 FIG1_SETS = [(0.5, 1), (0.5, 2), (0.5, 3), (0.8, 4), (0.8, 6), (0.8, 8)]
 FIXTURE_GRID = [(q, k, a)

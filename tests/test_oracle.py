@@ -9,12 +9,9 @@ from fockseries import (
     BeamSplitterSetting,
     DimensionTooLarge,
     InvalidParameter,
-    PrecisionConfig,
-    oracle_entropy,
-    oracle_statistics,
     penson_solomon_state,
-    write_fixtures,
 )
+from fockseries.oracle import PrecisionConfig, oracle_entropy, oracle_statistics, write_fixtures
 from fockseries.output import read_curve_csv
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "oracle"

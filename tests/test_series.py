@@ -11,7 +11,6 @@ from fockseries import (
     FixedTruncation,
     HardCapExceeded,
     InvalidParameter,
-    NonlinearityModel,
     StateSpec,
     VacuumUndefined,
     log_weight,
@@ -34,32 +33,18 @@ def adaptive_series(alpha, k, q, **kwargs):
 
 
 class TestNonlinearityModel:
+    """The Penson-Solomon deformation f(n) = q^(1-n), carried as StateSpec.q."""
+
     def test_penson_solomon_accepts_unit_interval(self):
-        assert NonlinearityModel.penson_solomon(0.5).q == 0.5
-        assert NonlinearityModel.penson_solomon(1.0).q == 1.0
+        assert StateSpec(alpha_abs=1.0, k=0, q=0.5).q == 0.5
+        assert StateSpec(alpha_abs=1.0, k=0, q=1.0).q == 1.0
+        assert StateSpec(alpha_abs=1.0, k=0).q == 1.0
 
     def test_q_zero_rejected(self):
         """f(n) = q^(1-n) diverges at q = 0."""
-        with pytest.raises(InvalidParameter):
-            NonlinearityModel.penson_solomon(0.0)
-        with pytest.raises(InvalidParameter):
-            NonlinearityModel.penson_solomon(-0.3)
-        with pytest.raises(InvalidParameter):
-            NonlinearityModel.penson_solomon(1.2)
-
-    def test_identity_equals_q_one(self):
-        """Identity deformation behaves exactly as Penson-Solomon with q = 1."""
-        ident = StateSpec(alpha_abs=1.3, k=2, nonlinearity=NonlinearityModel.identity())
-        ps1 = penson_solomon_state(1.3, 2, 1.0)
-        for n in range(12):
-            assert log_weight(ident, n) == log_weight(ps1, n)
-
-    def test_from_name_accepts_config_spelling(self):
-        model = NonlinearityModel.from_name("penson-solomon", q=0.7)
-        assert model.q == 0.7
-        assert NonlinearityModel.from_name("identity").q == 1.0
-        with pytest.raises(InvalidParameter):
-            NonlinearityModel.from_name("poschl-teller", q=0.5)
+        for q in (0.0, -0.3, 1.2, math.nan):
+            with pytest.raises(InvalidParameter):
+                StateSpec(alpha_abs=1.0, k=0, q=q)
 
     def test_state_spec_validation(self):
         with pytest.raises(InvalidParameter):
@@ -227,11 +212,6 @@ class TestPhotonDistribution:
             total = sum(p for _, p in photon_distribution(series))
             assert 1.0 - 2.0 * series.tail_bound_rel <= total <= 1.0 + 2.0 * series.tail_bound_rel
 
-    def test_mismatched_spec_rejected(self):
-        series = adaptive_series(1.0, 0, 1.0)
-        with pytest.raises(InvalidParameter):
-            photon_distribution(series, penson_solomon_state(2.0, 0, 1.0))
-
 
 class TestPhotonStatistics:
     def test_fock_point_is_maximally_sub_poissonian(self):
@@ -259,15 +239,6 @@ class TestPhotonStatistics:
         stats = photon_statistics(adaptive_series(0.5, 1, 0.5))
         assert abs(stats.mandel_q - (-0.5)) < 1e-12
 
-    def test_phase_invariance_is_bitwise(self):
-        results = []
-        for phase in (0.0, 1.7, math.pi):
-            spec = penson_solomon_state(1.7, 2, 0.6, alpha_phase=phase)
-            results.append(photon_statistics(truncate(spec, AdaptiveTruncation())))
-        assert results[0].mandel_q == results[1].mandel_q == results[2].mandel_q
-        assert results[0].mean_n == results[1].mean_n == results[2].mean_n
-        assert results[0].variance == results[1].variance == results[2].variance
-
     def test_bounds_on_random_grid(self):
         rng = np.random.default_rng(7)
         for _ in range(60):
@@ -278,7 +249,6 @@ class TestPhotonStatistics:
             assert stats.mandel_q >= -1.0
             assert stats.variance >= 0.0
             assert stats.mean_n >= k - 1e-9
-            assert stats.mean_n2 >= stats.mean_n ** 2
 
     def test_poisson_limit_q_to_one(self):
         """q -> 1, k = 0 reduces to the Poisson distribution."""

@@ -1,10 +1,14 @@
 """Sweep evaluation, CSV/manifest emission, presets, plot script, CLI codes."""
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fockseries
 from fockseries import (
     AdaptiveTruncation,
     FixedTruncation,
@@ -125,12 +129,6 @@ class TestRunSweep:
         req2 = small_sweep(tmp_path, q=0.7, k=2, output_path=tmp_path / "b.csv")
         assert run_sweep(req1).read_bytes() == run_sweep(req2).read_bytes()
 
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        serial = run_sweep(small_sweep(tmp_path, q=0.5, k=1, output_path=tmp_path / "s.csv"))
-        monkeypatch.setenv("FOCKSERIES_THREADS", "4")
-        threaded = run_sweep(small_sweep(tmp_path, q=0.5, k=1, output_path=tmp_path / "t.csv"))
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_row_round_trip_reproduces_exact_value(self, tmp_path):
         """Re-running any row from its own parameters lands on the same digits."""
         req = small_sweep(tmp_path, q=0.6, k=2, alpha_min=0.3, alpha_max=4.7, steps=7)
@@ -240,11 +238,14 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    def test_numeric_failure_exit_3(self, tmp_path):
+    def test_numeric_failure_exit_3(self, tmp_path, capsys):
+        """The message names the (q, k, |alpha|) that hit the cap."""
         code = main(["sweep", "--observable", "mandel_q", "--q", "0.2", "--k", "5",
                      "--alpha-min", "3.9", "--alpha-max", "4.0", "--steps", "2",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
+        err = capsys.readouterr().err
+        assert "q=0.2" in err and "k=5" in err and "|alpha|=3.9" in err
 
     def test_io_failure_exit_4(self, tmp_path):
         code = main(["sweep", "--observable", "mandel_q", "--steps", "2",
@@ -261,10 +262,31 @@ class TestCliExitCodes:
     def test_plot_missing_manifest_exit_4(self, tmp_path):
         assert main(["plot", "--manifest", str(tmp_path / "absent.json")]) == 4
 
-    def test_identity_nonlinearity_requires_unit_q(self, tmp_path):
-        code = main(["sweep", "--observable", "mandel_q", "--nonlinearity", "identity",
-                     "--q", "0.5", "--steps", "2", "--out", str(tmp_path / "x.csv")])
-        assert code == 2
+    @pytest.mark.parametrize("args", [["--q", "1e-200", "--k", "2"],
+                                      ["--alpha-max", "1e200"]])
+    def test_overflowing_ratio_exit_3(self, tmp_path, args):
+        """A term ratio beyond float range fails the adaptive cap check."""
+        code = main(["sweep", "--observable", "mandel_q", *args,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+
+    def test_overflowing_ratio_fixed_rows_are_flagged(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--observable", "mandel_q", "--q", "1e-200", "--k", "2",
+                     "--policy", "fixed:10", "--out", str(out)])
+        assert code == 0
+        _, rows = read_curve_csv(out)
+        assert len(rows) == 201
+        assert all(r["converged"] == "false" and r["tail_bound_rel"] == "inf"
+                   for r in rows[1:])
+
+    def test_cli_does_not_load_mpmath(self):
+        """The oracle's mpmath is loaded only by fockseries.oracle."""
+        src = Path(fockseries.__file__).resolve().parent.parent
+        code = "import sys, fockseries.cli; assert 'mpmath' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_default_grids_per_observable(self, tmp_path):
         """Unset flags fall back to 201 points on [0,5] for Q and 61 points
