@@ -3,7 +3,8 @@
 Subcommands: ``sweep`` (one observable over an |alpha| grid), ``preset``
 (figure-reproduction bundles), ``plot`` (gnuplot script from a preset
 manifest).  Exit codes: 0 success, 2 bad arguments, 3 numeric failure
-(adaptive hard cap, including a term ratio that overflows), 4 I/O failure.
+(adaptive hard cap, including a term ratio that overflows, or an entropy
+dimension past the split cap), 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -12,9 +13,8 @@ import math
 import sys
 
 from ._version import __version__
-from .errors import FockSeriesError, HardCapExceeded
+from .errors import DimensionTooLarge, FockSeriesError, HardCapExceeded
 from .sweep import (
-    DEFAULT_GRIDS,
     OBSERVABLES,
     PRESETS,
     SweepRequest,
@@ -63,15 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    lo, hi, steps = DEFAULT_GRIDS[args.observable]
     req = SweepRequest(
         observable=args.observable,
         q=args.q,
         k=args.k,
         output_path=args.out,
-        alpha_min=lo if args.alpha_min is None else args.alpha_min,
-        alpha_max=hi if args.alpha_max is None else args.alpha_max,
-        steps=steps if args.steps is None else args.steps,
+        alpha_min=args.alpha_min,
+        alpha_max=args.alpha_max,
+        steps=args.steps,
         policy=parse_policy(args.policy),
         theta=args.theta,
     )
@@ -97,10 +96,10 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"sweep": _cmd_sweep, "preset": _cmd_preset, "plot": _cmd_plot}[args.command]
     try:
         return handler(args)
-    except HardCapExceeded as exc:
+    except (HardCapExceeded, DimensionTooLarge) as exc:
         print(f"fockseries: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FockSeriesError, ValueError) as exc:
+    except FockSeriesError as exc:
         print(f"fockseries: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

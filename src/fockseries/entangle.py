@@ -21,12 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import InvalidParameter, InvalidTheta, UnnormalizedInput
-from .series import TruncatedSeries, normalization_log
+from .errors import DimensionTooLarge, InvalidParameter, InvalidTheta, UnnormalizedInput
+from .series import TruncatedSeries, _point, normalization_log
 
 # absolute slack on the unit-norm check, covering accumulated rounding when
 # the source series is exact (tail bound 0)
 _NORM_FLOOR = 1e-12
+# largest D for split's dense D x D float64 matrix (512 MB)
+MAX_DIM = 8192
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,12 @@ def split(series: TruncatedSeries,
         raise InvalidParameter(
             "series is not converged; pass allow_unconverged=True to propagate it anyway")
 
-    ln_norm = normalization_log(series)
-    ln_c = ln_norm + 0.5 * series.log_weights  # ln c_m, m = n + k
     k = series.spec.k
     dim = series.n_max + k + 1
+    if dim > MAX_DIM:
+        raise DimensionTooLarge(
+            f"{_point(series.spec)}: output dimension D={dim} exceeds the split cap {MAX_DIM}")
+    ln_c = normalization_log(series) + 0.5 * series.log_weights  # ln c_m, m = n + k
     ln_t = math.log(setting.transmittance)
     ln_r = math.log(setting.reflectance)
 

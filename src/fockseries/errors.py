@@ -30,4 +30,4 @@ class UnnormalizedInput(FockSeriesError, ValueError):
 
 
 class DimensionTooLarge(FockSeriesError, RuntimeError):
-    """Extended-precision entropy evaluation refused: output dimension too large."""
+    """Entropy evaluation refused before allocating: output dimension too large."""

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from ._version import __version__
+from .errors import InvalidParameter
 
 SCALAR_COLUMNS = ("alpha", "value", "n_max_used", "tail_bound_rel", "converged")
 DISTRIBUTION_COLUMNS = ("alpha", "photon_number", "probability",
@@ -82,7 +83,10 @@ def write_manifest(path: Path | str, manifest: Mapping[str, Any]) -> Path:
 
 
 def read_manifest(path: Path | str) -> dict[str, Any]:
-    text = Path(path).read_text(encoding="ascii")
-    if not text.strip():
-        raise ValueError(f"{path}: manifest is empty")
-    return json.loads(text)
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="ascii"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidParameter(f"{path}: manifest is not ASCII JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise InvalidParameter(f"{path}: manifest is not a JSON object")
+    return manifest

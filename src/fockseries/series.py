@@ -62,8 +62,10 @@ class FixedTruncation:
     n_max: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_max, int) or isinstance(self.n_max, bool) or self.n_max < 0:
-            raise InvalidParameter(f"n_max must be a nonnegative integer, got {self.n_max!r}")
+        if (not isinstance(self.n_max, int) or isinstance(self.n_max, bool)
+                or not 0 <= self.n_max <= DEFAULT_HARD_CAP):
+            raise InvalidParameter(
+                f"n_max must be an integer in [0, {DEFAULT_HARD_CAP}], got {self.n_max!r}")
 
 
 TruncationPolicy = AdaptiveTruncation | FixedTruncation
@@ -96,35 +98,39 @@ class PhotonStatistics:
     converged: bool
 
 
+def _index(n: int) -> int:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+        raise InvalidParameter(f"n must be a nonnegative integer, got {n!r}")
+    return int(n)
+
+
+def _ln_w(n, k: int, ln_a: float, ln_inv_q: float, lgamma=math.lgamma):
+    """ln w_n for a Python int n (math.lgamma) or a float array n (gammaln).
+    The two differ in the last bit on some integers, so each index range keeps
+    its own: arrays for the adaptive bulk and fixed cutoffs, ints elsewhere."""
+    return (2.0 * n * ln_a + lgamma(n + k + 1) - 2.0 * lgamma(n + 1)
+            + (k * (k - 1) + 2 * n * k) * ln_inv_q)
+
+
 def log_weight(spec: StateSpec, n: int) -> float:
     """ln w_n of the normalization series, via log-gamma and the closed-form
     deformed factorial (never by repeated multiplication)."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise InvalidParameter(f"n must be a nonnegative integer, got {n!r}")
-    n = int(n)
-    if spec.alpha_abs == 0.0:
-        if n > 0:
-            raise DegenerateAmplitude(
-                "alpha_abs = 0: w_n vanishes for every n > 0; only n = 0 has a finite log-weight")
-        return _log_weight_alpha0(spec)
-    k = spec.k
-    return (2.0 * n * math.log(spec.alpha_abs)
-            + math.lgamma(n + k + 1) - 2.0 * math.lgamma(n + 1)
-            + (k * (k - 1) + 2 * n * k) * math.log(1.0 / spec.q))
-
-
-def _log_weight_alpha0(spec: StateSpec) -> float:
-    # w_0 = q^(-k(k-1)) * k!, the only surviving term at alpha = 0
-    k = spec.k
-    return math.lgamma(k + 1) + k * (k - 1) * math.log(1.0 / spec.q)
+    n = _index(n)
+    if spec.alpha_abs == 0.0 and n > 0:
+        raise DegenerateAmplitude(
+            "alpha_abs = 0: w_n vanishes for every n > 0; only n = 0 has a finite log-weight")
+    # the |alpha| term is exactly 0 at n = 0, so any finite ln|alpha| serves
+    ln_a = math.log(spec.alpha_abs) if spec.alpha_abs > 0.0 else 0.0
+    return _ln_w(n, spec.k, ln_a, math.log(1.0 / spec.q))
 
 
 def weight_ratio(spec: StateSpec, n: int) -> float:
     """Exact successive-term ratio w_{n+1}/w_n = |alpha|^2 q^(-2k) (n+k+1)/(n+1)^2."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise InvalidParameter(f"n must be a nonnegative integer, got {n!r}")
-    n = int(n)
-    return _ratio_constant(spec) * (n + spec.k + 1) / ((n + 1) * (n + 1))
+    return _ratio(_ratio_constant(spec), spec.k, _index(n))
+
+
+def _ratio(c: float, k: int, n: int) -> float:
+    return c * (n + k + 1) / ((n + 1) * (n + 1))
 
 
 def _ratio_constant(spec: StateSpec) -> float:
@@ -135,34 +141,21 @@ def _ratio_constant(spec: StateSpec) -> float:
         return math.inf
 
 
-def _log_weights_block(spec: StateSpec, n_lo: int, n_hi: int) -> np.ndarray:
-    """Vectorized ln w_n for n in [n_lo, n_hi). Requires alpha_abs > 0."""
-    n = np.arange(n_lo, n_hi, dtype=np.float64)
-    k = spec.k
-    return (2.0 * n * math.log(spec.alpha_abs)
-            + gammaln(n + k + 1) - 2.0 * gammaln(n + 1)
-            + (k * (k - 1) + 2.0 * n * k) * math.log(1.0 / spec.q))
+def _tail_bound(lw_last: float, m: float, r: float, scaled_sum: float) -> float:
+    """Geometric bound w_next/(1-r) on the neglected tail over the retained sum."""
+    return math.exp(lw_last - m) * r / (1.0 - r) / scaled_sum
 
 
-def _first_subunit_ratio_index(spec: StateSpec) -> int:
-    """Smallest n with weight_ratio(spec, n) < 1 (0 if already below at n=0)."""
-    c = _ratio_constant(spec)
-    if c == 0.0:
-        return 0
+def _first_subunit_ratio_index(c: float, k: int) -> int:
+    """Smallest n with _ratio(c, k, n) < 1 (0 if already below at n=0)."""
     # (n+1)^2 = c (n+k+1) -> crossing near the positive quadratic root
-    disc = (c - 2.0) ** 2 - 4.0 * (1.0 - c * (spec.k + 1))
+    disc = (c - 2.0) ** 2 - 4.0 * (1.0 - c * (k + 1))
     n = 0 if disc < 0.0 else max(0, int((c - 2.0 + math.sqrt(disc)) / 2.0))
-    while n > 0 and weight_ratio(spec, n - 1) < 1.0:
+    while n > 0 and _ratio(c, k, n - 1) < 1.0:
         n -= 1
-    while weight_ratio(spec, n) >= 1.0:
+    while _ratio(c, k, n) >= 1.0:
         n += 1
     return n
-
-
-def _degenerate_series(spec: StateSpec) -> TruncatedSeries:
-    return TruncatedSeries(spec=spec,
-                           log_weights=np.array([_log_weight_alpha0(spec)]),
-                           n_max=0, tail_bound_rel=0.0, converged=True)
 
 
 def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
@@ -182,11 +175,13 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
         raise InvalidParameter("spec must be a StateSpec")
     if spec.alpha_abs == 0.0:
         # every n >= 1 weight is exactly zero; single-term series, no tail
-        return _degenerate_series(spec)
+        return TruncatedSeries(spec=spec, log_weights=np.array([log_weight(spec, 0)]),
+                               n_max=0, tail_bound_rel=0.0, converged=True)
+    ln_a, ln_inv_q, c = math.log(spec.alpha_abs), math.log(1.0 / spec.q), _ratio_constant(spec)
     if isinstance(policy, AdaptiveTruncation):
-        return _truncate_adaptive(spec, policy)
+        return _truncate_adaptive(spec, policy, ln_a, ln_inv_q, c)
     if isinstance(policy, FixedTruncation):
-        return _truncate_fixed(spec, policy)
+        return _truncate_fixed(spec, policy, ln_a, ln_inv_q, c)
     raise InvalidParameter(f"unknown truncation policy {policy!r}")
 
 
@@ -194,64 +189,57 @@ def _point(spec: StateSpec) -> str:
     return f"q={spec.q!r}, k={spec.k}, |alpha|={spec.alpha_abs!r}"
 
 
-def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation) -> TruncatedSeries:
+def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
+                       ln_a: float, ln_inv_q: float, c: float) -> TruncatedSeries:
+    k = spec.k
     # ratio at the cap is exact and overflow-safe; if it is still >= 1 there,
     # the peak lies past the cap and no stopping test can ever pass
-    if (not math.isfinite(_ratio_constant(spec))
-            or weight_ratio(spec, policy.hard_cap) >= 1.0):
+    if not math.isfinite(c) or _ratio(c, k, policy.hard_cap) >= 1.0:
         raise HardCapExceeded(
             f"{_point(spec)}: term ratio stays >= 1 at hard_cap={policy.hard_cap}; "
             "the series peak is beyond desk scale")
-    n_peak = _first_subunit_ratio_index(spec)
+    n_peak = _first_subunit_ratio_index(c, k)
 
     # Bulk phase: all n < n_peak have ratio >= 1, so the stopping test cannot
     # pass there; evaluate them vectorized.
-    lws = list(_log_weights_block(spec, 0, n_peak))
-    if lws:
-        m = float(np.max(lws))
-        scaled_sum = float(np.exp(np.asarray(lws) - m).sum())
-    else:
-        m = -math.inf
-        scaled_sum = 0.0
+    bulk = _ln_w(np.arange(n_peak, dtype=np.float64), k, ln_a, ln_inv_q, gammaln)
+    m = float(bulk.max(initial=-math.inf))
+    scaled_sum = float(np.exp(bulk - m).sum())
 
     # Tail phase: one term at a time with the certified stopping test.
+    tail = []
     n = n_peak
-    while True:
-        lw = log_weight(spec, n)
+    while n <= policy.hard_cap:
+        lw = _ln_w(n, k, ln_a, ln_inv_q)
         if lw > m:
             scaled_sum *= math.exp(m - lw)
             m = lw
         scaled_sum += math.exp(lw - m)
-        lws.append(lw)
-        r = weight_ratio(spec, n)
+        tail.append(lw)
+        r = _ratio(c, k, n)
         if r < 1.0:
-            next_scaled = math.exp(lw - m) * r
-            bound = next_scaled / (1.0 - r) / scaled_sum
+            bound = _tail_bound(lw, m, r, scaled_sum)
             if bound <= policy.rel_tol:
-                return TruncatedSeries(spec=spec,
-                                       log_weights=np.asarray(lws),
-                                       n_max=n, tail_bound_rel=bound,
-                                       converged=True)
+                return TruncatedSeries(spec=spec, log_weights=np.concatenate((bulk, tail)),
+                                       n_max=n, tail_bound_rel=bound, converged=True)
         n += 1
-        if n > policy.hard_cap:
-            raise HardCapExceeded(
-                f"{_point(spec)}: adaptive truncation passed hard_cap={policy.hard_cap} "
-                f"without certifying rel_tol={policy.rel_tol}")
+    raise HardCapExceeded(
+        f"{_point(spec)}: adaptive truncation passed hard_cap={policy.hard_cap} "
+        f"without certifying rel_tol={policy.rel_tol}")
 
 
-def _truncate_fixed(spec: StateSpec, policy: FixedTruncation) -> TruncatedSeries:
-    lws = _log_weights_block(spec, 0, policy.n_max + 1)
-    r = weight_ratio(spec, policy.n_max)
+def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,
+                    ln_a: float, ln_inv_q: float, c: float) -> TruncatedSeries:
+    lws = _ln_w(np.arange(policy.n_max + 1, dtype=np.float64), spec.k, ln_a, ln_inv_q, gammaln)
+    r = _ratio(c, spec.k, policy.n_max)
     if r >= 1.0:
         # no geometric bound exists; the neglected tail may dominate
         return TruncatedSeries(spec=spec, log_weights=lws, n_max=policy.n_max,
                                tail_bound_rel=math.inf, converged=False)
     m = float(lws.max())
-    scaled_sum = float(np.exp(lws - m).sum())
-    bound = math.exp(float(lws[-1]) - m) * r / (1.0 - r) / scaled_sum
+    bound = _tail_bound(float(lws[-1]), m, r, float(np.exp(lws - m).sum()))
     return TruncatedSeries(spec=spec, log_weights=lws, n_max=policy.n_max,
-                           tail_bound_rel=bound,
-                           converged=bound <= DEFAULT_REL_TOL)
+                           tail_bound_rel=bound, converged=bound <= DEFAULT_REL_TOL)
 
 
 def normalization_log(series: TruncatedSeries) -> float:

@@ -18,7 +18,8 @@ from .errors import InvalidParameter
 class StateSpec:
     """Parameters of one photon-added Penson-Solomon state.
 
-    q = 0 is rejected (f diverges).
+    q = 0 is rejected (f diverges), and so is any q whose reciprocal
+    overflows a double (q below about 5.6e-309), since ln(1/q) would be inf.
     """
 
     alpha_abs: float
@@ -32,8 +33,9 @@ class StateSpec:
         if not isinstance(self.k, (int,)) or isinstance(self.k, bool) or self.k < 0:
             raise InvalidParameter(f"k must be a nonnegative integer, got {self.k!r}")
         q = float(self.q)
-        if not (0.0 < q <= 1.0) or not math.isfinite(q):
-            raise InvalidParameter(f"deformation parameter q must be in (0, 1], got {self.q}")
+        if not (0.0 < q <= 1.0) or not math.isfinite(1.0 / q):
+            raise InvalidParameter(
+                f"deformation parameter q must be in (0, 1] with 1/q finite, got {self.q}")
         object.__setattr__(self, "alpha_abs", a)
         object.__setattr__(self, "q", q)
 

@@ -42,6 +42,8 @@ DEFAULT_GRIDS = {
     "distribution": (0.0, 5.0, 201),
     "linear_entropy": (0.0, 3.0, 61),
 }
+# the grid is materialized as a list of floats before any point is evaluated
+MAX_STEPS = 100_000
 
 
 def parse_policy(text: str) -> TruncationPolicy:
@@ -53,12 +55,12 @@ def parse_policy(text: str) -> TruncationPolicy:
         try:
             return AdaptiveTruncation(rel_tol=float(arg))
         except ValueError as exc:
-            raise InvalidParameter(f"bad adaptive tolerance {arg!r}") from exc
+            raise InvalidParameter(f"bad adaptive tolerance {arg!r}: {exc}") from exc
     if kind == "fixed":
         try:
             return FixedTruncation(n_max=int(arg))
         except ValueError as exc:
-            raise InvalidParameter(f"bad fixed cutoff {arg!r}") from exc
+            raise InvalidParameter(f"bad fixed cutoff {arg!r}: {exc}") from exc
     raise InvalidParameter(f"policy must be adaptive[:<tol>] or fixed:<n>, got {text!r}")
 
 
@@ -71,23 +73,31 @@ def policy_label(policy: TruncationPolicy) -> str:
 
 @dataclass(frozen=True)
 class SweepRequest:
+    """One observable over an |alpha| grid; an unset grid bound or step count
+    takes the observable's entry in DEFAULT_GRIDS."""
+
     observable: str
     q: float
     k: int
     output_path: Path | str
-    alpha_min: float = 0.0
-    alpha_max: float = 5.0
-    steps: int = 201
+    alpha_min: float | None = None
+    alpha_max: float | None = None
+    steps: int | None = None
     policy: TruncationPolicy = field(default_factory=AdaptiveTruncation)
     theta: float = math.pi / 4.0
 
     def __post_init__(self) -> None:
         if self.observable not in OBSERVABLES:
             raise InvalidParameter(f"unknown observable {self.observable!r}")
+        grid = DEFAULT_GRIDS[self.observable]
+        for name, default in zip(("alpha_min", "alpha_max", "steps"), grid):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if not (0.0 <= self.alpha_min <= self.alpha_max):
             raise InvalidParameter("need 0 <= alpha_min <= alpha_max")
-        if not isinstance(self.steps, int) or self.steps < 2:
-            raise InvalidParameter(f"steps must be an integer >= 2, got {self.steps!r}")
+        if not isinstance(self.steps, int) or not 2 <= self.steps <= MAX_STEPS:
+            raise InvalidParameter(
+                f"steps must be an integer in [2, {MAX_STEPS}], got {self.steps!r}")
         BeamSplitterSetting(self.theta)  # validates
 
 
@@ -205,17 +215,13 @@ def run_preset(name: str,
     preset = PRESETS[name]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lo, hi, n = DEFAULT_GRIDS[preset.observable]
-    lo = lo if alpha_min is None else alpha_min
-    hi = hi if alpha_max is None else alpha_max
-    n = n if steps is None else steps
 
     written = []
     manifest_curves = []
     for curve in preset.curves:
         req = SweepRequest(observable=preset.observable, q=preset.q, k=curve.k,
-                           output_path=out_dir / curve.filename,
-                           alpha_min=lo, alpha_max=hi, steps=n, policy=curve.policy)
+                           output_path=out_dir / curve.filename, alpha_min=alpha_min,
+                           alpha_max=alpha_max, steps=steps, policy=curve.policy)
         written.append(run_sweep(req))
         manifest_curves.append({
             "file": curve.filename,
@@ -224,14 +230,15 @@ def run_preset(name: str,
             "width": curve.width,
             "parameters": _sweep_metadata(req),
         })
+    # every curve's request resolved the same grid
     manifest = {
         "fockseries_version": __version__,
         "preset": preset.name,
         "observable": preset.observable,
         "q": preset.q,
-        "alpha_min": lo,
-        "alpha_max": hi,
-        "steps": n,
+        "alpha_min": req.alpha_min,
+        "alpha_max": req.alpha_max,
+        "steps": req.steps,
         "assumptions": preset.assumptions,
         "curves": manifest_curves,
     }

@@ -7,6 +7,7 @@ import pytest
 from fockseries import (
     AdaptiveTruncation,
     BeamSplitterSetting,
+    DimensionTooLarge,
     FixedTruncation,
     InvalidParameter,
     InvalidTheta,
@@ -18,6 +19,7 @@ from fockseries import (
     split,
     truncate,
 )
+from fockseries.entangle import MAX_DIM
 
 # 256-bit oracle pins
 S_Q05_K1_A05 = 0.125                    # exact
@@ -92,6 +94,13 @@ class TestSplit:
             split(fixed)
         amps = split(fixed, allow_unconverged=True)
         assert not amps.converged
+
+    def test_dimension_cap_refuses_before_allocating(self):
+        """At alpha = 0 the series is one term, so D = k + 1 sits just past
+        the cap and the check fires before the D x D matrix exists."""
+        match = f"q=1.0, k={MAX_DIM}, .alpha.=0.0.*D={MAX_DIM + 1}"
+        with pytest.raises(DimensionTooLarge, match=match):
+            split(series_for(0.0, MAX_DIM, q=1.0))
 
 
 class TestReducedPurity:

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import logsumexp
 
 from fockseries import (
+    DEFAULT_HARD_CAP,
     AdaptiveTruncation,
     DegenerateAmplitude,
     FixedTruncation,
@@ -41,8 +42,8 @@ class TestNonlinearityModel:
         assert StateSpec(alpha_abs=1.0, k=0).q == 1.0
 
     def test_q_zero_rejected(self):
-        """f(n) = q^(1-n) diverges at q = 0."""
-        for q in (0.0, -0.3, 1.2, math.nan):
+        """f(n) = q^(1-n) diverges at q = 0, and ln(1/q) overflows below ~5.6e-309."""
+        for q in (0.0, -0.3, 1.2, math.nan, 1e-320):
             with pytest.raises(InvalidParameter):
                 StateSpec(alpha_abs=1.0, k=0, q=q)
 
@@ -167,6 +168,9 @@ class TestTruncate:
             AdaptiveTruncation(rel_tol=1.5)
         with pytest.raises(InvalidParameter):
             FixedTruncation(n_max=-1)
+        assert FixedTruncation(n_max=DEFAULT_HARD_CAP).n_max == DEFAULT_HARD_CAP
+        with pytest.raises(InvalidParameter):
+            FixedTruncation(n_max=DEFAULT_HARD_CAP + 1)
 
     def test_monotone_certificate(self):
         """Extending a converged series by 500 terms moves the sum by less

@@ -25,7 +25,7 @@ from fockseries import (
 )
 from fockseries.cli import main
 from fockseries.output import read_curve_csv
-from fockseries.sweep import policy_label
+from fockseries.sweep import MAX_STEPS, policy_label
 
 
 def small_sweep(tmp_path, **overrides):
@@ -147,6 +147,19 @@ class TestRunSweep:
             small_sweep(tmp_path, alpha_min=2.0, alpha_max=1.0)
         with pytest.raises(InvalidParameter):
             small_sweep(tmp_path, observable="wigner")
+        assert small_sweep(tmp_path, steps=MAX_STEPS).steps == MAX_STEPS
+        with pytest.raises(InvalidParameter):
+            small_sweep(tmp_path, steps=MAX_STEPS + 1)
+
+    def test_request_takes_the_observable_default_grid(self, tmp_path):
+        """Unset grid fields resolve per observable; set ones are kept."""
+        req = SweepRequest(observable="linear_entropy", q=0.5, k=1, output_path=tmp_path / "s.csv")
+        assert (req.alpha_min, req.alpha_max, req.steps) == (0.0, 3.0, 61)
+        req = SweepRequest(observable="mandel_q", q=0.5, k=1, output_path=tmp_path / "q.csv")
+        assert (req.alpha_min, req.alpha_max, req.steps) == (0.0, 5.0, 201)
+        req = SweepRequest(observable="linear_entropy", q=0.5, k=1, output_path=tmp_path / "s.csv",
+                           alpha_max=1.0)
+        assert (req.alpha_min, req.alpha_max, req.steps) == (0.0, 1.0, 61)
 
 
 class TestPresets:
@@ -237,6 +250,40 @@ class TestCliExitCodes:
         code = main(["sweep", "--observable", "mandel_q", "--q", "0.0",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--q", "1e-320", "--k", "1", "--policy", "fixed:5", "--steps", "3"],
+        ["--q", "1e-320", "--k", "0", "--steps", "3"],
+        ["--policy", "fixed:1000000000000"],
+        ["--steps", "1000000000000"],
+    ])
+    def test_out_of_range_inputs_exit_2(self, tmp_path, args):
+        """A q whose reciprocal overflows, and the n_max and steps caps, are
+        rejected before any weight or grid is allocated."""
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--observable", "mandel_q", *args, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_dimension_cap_exit_3(self, tmp_path, capsys):
+        code = main(["sweep", "--observable", "linear_entropy", "--k", "50000",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "q=1.0" in err and "k=50000" in err and "|alpha|=0.0" in err and "D=50001" in err
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", "\u00e9"])
+    def test_malformed_manifest_exit_2(self, tmp_path, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(text.encode("utf-8"))
+        assert main(["plot", "--manifest", str(manifest)]) == 2
+
+    def test_internal_value_error_propagates(self, tmp_path, monkeypatch):
+        """Only fockseries errors are reported as bad arguments."""
+        def broken(req):
+            raise ValueError("internal fault")
+        monkeypatch.setattr("fockseries.cli.run_sweep", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["sweep", "--observable", "mandel_q", "--out", str(tmp_path / "x.csv")])
 
     def test_numeric_failure_exit_3(self, tmp_path, capsys):
         """The message names the (q, k, |alpha|) that hit the cap."""
