@@ -19,14 +19,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .errors import DimensionTooLarge, InvalidParameter, InvalidTheta, UnnormalizedInput
 from .series import TruncatedSeries, _point, normalization_log
 
-# absolute slack on the unit-norm check, covering accumulated rounding when
-# the source series is exact (tail bound 0)
-_NORM_FLOOR = 1e-12
+# rounding slack on the unit-norm check, in units of eps * log_scale: each log
+# amplitude sums about eight roundings of terms up to log_scale in magnitude,
+# and squaring doubles the relative error of exp
+_ROUNDING_ULPS = 16.0
 # largest D for split's dense D x D float64 matrix (512 MB)
 MAX_DIM = 8192
 
@@ -58,15 +60,18 @@ class JointAmplitudes:
 
     ``matrix[j, l]`` holds the amplitude for j transmitted and l reflected
     photons; rows/columns run over 0..D-1 with D = k + n_max + 1, and every
-    entry with j + l < k is exactly zero (the input carries at least k
-    photons).  The splitter is unitary, so the squared entries sum to 1 up to
-    the source series' tail bound.
+    entry with j + l < k (the input carries at least k photons) or
+    j + l >= D (beyond the retained series) is exactly zero.  The splitter is
+    unitary, so the squared entries sum to 1 up to the source series' tail
+    bound and a rounding floor of eps times ``log_scale``, the largest
+    magnitude among the log terms summed into any amplitude.
     """
 
     matrix: np.ndarray
     theta: float
     source_tail_bound: float
     converged: bool
+    log_scale: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -83,10 +88,13 @@ def split(series: TruncatedSeries,
           allow_unconverged: bool = False) -> JointAmplitudes:
     """Expand (state tensor vacuum) over the joint Fock basis of the outputs.
 
-    Amplitudes are assembled in log-space (ln c_m + half log-binomial +
-    j ln t + l ln r) and exponentiated, one total-photon-number
-    anti-diagonal at a time.  theta in (0, pi/2] keeps t and r positive
-    (cos(pi/2) is 6.1e-17 in floating point), so both logs are finite.
+    Amplitudes are assembled in log-space, half log-binomial + ln c_m +
+    j ln t + l ln r with m = j + l, over the whole D x D square at once and
+    exponentiated in place.  The m-dependent terms are Hankel views of
+    ln m! and of ln c_m, the latter padded with -inf off k <= m < D, so
+    those cells come out exactly 0.0.  theta in (0, pi/2] keeps t and r
+    positive (cos(pi/2) is 6.1e-17 in floating point), so both logs are
+    finite.
     """
     if not isinstance(setting, BeamSplitterSetting):
         raise InvalidTheta("setting must be a BeamSplitterSetting")
@@ -99,19 +107,30 @@ def split(series: TruncatedSeries,
     if dim > MAX_DIM:
         raise DimensionTooLarge(
             f"{_point(series.spec)}: output dimension D={dim} exceeds the split cap {MAX_DIM}")
-    ln_c = normalization_log(series) + 0.5 * series.log_weights  # ln c_m, m = n + k
+    ln_n = normalization_log(series)
+    ln_c = ln_n + 0.5 * series.log_weights  # ln c_m, m = n + k
     ln_t = math.log(setting.transmittance)
     ln_r = math.log(setting.reflectance)
 
-    matrix = np.zeros((dim, dim))
-    lg = gammaln(np.arange(dim + 1, dtype=np.float64) + 1.0)
-    for m in range(k, dim):
-        j = np.arange(m + 1)
-        ln_binom_half = 0.5 * (lg[m] - lg[j] - lg[m - j])
-        matrix[j, m - j] = np.exp(ln_c[m - k] + ln_binom_half + j * ln_t + (m - j) * ln_r)
+    # Hankel views lg_m[j, l] = ln (j+l)! and ln_c_m[j, l] = ln c_{j+l}
+    lg = gammaln(np.arange(2 * dim - 1, dtype=np.float64) + 1.0)
+    ln_c_pad = np.full(2 * dim - 1, -np.inf)
+    ln_c_pad[k:dim] = ln_c
+    lg_m = sliding_window_view(lg, dim)
+    ln_c_m = sliding_window_view(ln_c_pad, dim)
+    idx = np.arange(dim)
+
+    matrix = np.subtract(lg_m, lg[:dim, None])  # the only D x D array
+    matrix -= lg[:dim]
+    matrix *= 0.5
+    matrix += ln_c_m
+    matrix += (idx * ln_t)[:, None]
+    matrix += idx * ln_r
+    np.exp(matrix, out=matrix)
+    log_scale = max(abs(ln_n), float(lg[dim - 1]), (dim - 1) * abs(ln_t), (dim - 1) * abs(ln_r))
     return JointAmplitudes(matrix=matrix, theta=setting.theta,
                            source_tail_bound=series.tail_bound_rel,
-                           converged=series.converged)
+                           converged=series.converged, log_scale=log_scale)
 
 
 def reduced_purity(amps: JointAmplitudes) -> float:
@@ -123,7 +142,8 @@ def reduced_purity(amps: JointAmplitudes) -> float:
     """
     a = amps.matrix
     norm = float(np.sum(a ** 2))
-    tol = 10.0 * amps.source_tail_bound + _NORM_FLOOR
+    floor = _ROUNDING_ULPS * np.finfo(np.float64).eps * max(1.0, amps.log_scale)
+    tol = 10.0 * amps.source_tail_bound + floor
     if not math.isfinite(norm) or abs(norm - 1.0) > tol:
         raise UnnormalizedInput(
             f"joint amplitudes have squared norm {norm!r}, beyond 1 +/- {tol:g}")

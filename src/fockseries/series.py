@@ -35,10 +35,9 @@ from .errors import (
     InvalidParameter,
     VacuumUndefined,
 )
-from .states import StateSpec
+from .states import DEFAULT_HARD_CAP, StateSpec
 
 DEFAULT_REL_TOL = 1e-14
-DEFAULT_HARD_CAP = 2_000_000
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameter
 
+# cap on the number of series terms, and on k, the photons added to the state
+DEFAULT_HARD_CAP = 2_000_000
+
 
 @dataclass(frozen=True)
 class StateSpec:
@@ -20,6 +23,8 @@ class StateSpec:
 
     q = 0 is rejected (f diverges), and so is any q whose reciprocal
     overflows a double (q below about 5.6e-309), since ln(1/q) would be inf.
+    k is at most DEFAULT_HARD_CAP, the cap on the number of series terms;
+    the weights hold k as a float, which overflows past about 1e154.
     """
 
     alpha_abs: float
@@ -30,8 +35,10 @@ class StateSpec:
         a = float(self.alpha_abs)
         if not math.isfinite(a) or a < 0.0:
             raise InvalidParameter(f"alpha_abs must be a finite nonnegative real, got {self.alpha_abs}")
-        if not isinstance(self.k, (int,)) or isinstance(self.k, bool) or self.k < 0:
-            raise InvalidParameter(f"k must be a nonnegative integer, got {self.k!r}")
+        if (not isinstance(self.k, int) or isinstance(self.k, bool)
+                or not 0 <= self.k <= DEFAULT_HARD_CAP):
+            raise InvalidParameter(
+                f"k must be an integer in [0, {DEFAULT_HARD_CAP}], got {self.k!r}")
         q = float(self.q)
         if not (0.0 < q <= 1.0) or not math.isfinite(1.0 / q):
             raise InvalidParameter(

@@ -262,8 +262,8 @@ def emit_plot_script(manifest_path: Path | str) -> Path:
     manifest_path = Path(manifest_path)
     manifest = read_manifest(manifest_path)
     curves = manifest.get("curves", [])
-    if not curves:
-        raise InvalidParameter(f"{manifest_path}: manifest lists no curves")
+    if not isinstance(curves, list) or not curves:
+        raise InvalidParameter(f"{manifest_path}: manifest needs a nonempty 'curves' list")
     name = manifest.get("preset", "curves")
     observable = manifest.get("observable", "mandel_q")
     lines = [

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from fockseries import (
     AdaptiveTruncation,
@@ -20,6 +23,7 @@ from fockseries import (
     truncate,
 )
 from fockseries.entangle import MAX_DIM
+from fockseries.series import normalization_log
 
 # 256-bit oracle pins
 S_Q05_K1_A05 = 0.125                    # exact
@@ -28,6 +32,27 @@ S_Q05_K2_A1 = 0.005579452953203966
 
 def series_for(alpha, k, q=0.5):
     return truncate(penson_solomon_state(alpha, k, q), AdaptiveTruncation())
+
+
+def split_by_antidiagonal(series, setting):
+    """Reference joint matrix, filled one total photon number m at a time."""
+    k = series.spec.k
+    dim = series.n_max + k + 1
+    ln_c = normalization_log(series) + 0.5 * series.log_weights
+    ln_t = math.log(setting.transmittance)
+    ln_r = math.log(setting.reflectance)
+    matrix = np.zeros((dim, dim))
+    lg = gammaln(np.arange(dim + 1, dtype=np.float64) + 1.0)
+    for m in range(k, dim):
+        j = np.arange(m + 1)
+        ln_binom_half = 0.5 * (lg[m] - lg[j] - lg[m - j])
+        matrix[j, m - j] = np.exp(ln_c[m - k] + ln_binom_half + j * ln_t + (m - j) * ln_r)
+    return matrix
+
+
+# (q, k, |alpha|, theta) with |alpha|^2 q^(-2k) <= 72, so D stays below 200
+points = st.tuples(st.floats(0.7, 1.0), st.integers(0, 6), st.floats(0.0, 1.0),
+                   st.floats(1e-3, math.pi / 2.0))
 
 
 def fock_entropy(k: int) -> float:
@@ -103,6 +128,39 @@ class TestSplit:
             split(series_for(0.0, MAX_DIM, q=1.0))
 
 
+class TestSplitProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(points)
+    def test_matches_antidiagonal_reference_bitwise(self, point):
+        q, k, alpha, theta = point
+        series = series_for(alpha, k, q)
+        setting = BeamSplitterSetting(theta)
+        a = split(series, setting).matrix
+        assert a.tobytes() == split_by_antidiagonal(series, setting).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(points)
+    def test_zero_off_the_photon_number_support(self, point):
+        q, k, alpha, theta = point
+        a = split(series_for(alpha, k, q), BeamSplitterSetting(theta)).matrix
+        dim = a.shape[0]
+        m = np.add.outer(np.arange(dim), np.arange(dim))
+        off = a[(m < k) | (m >= dim)]
+        assert np.all(off == 0.0) and not np.signbit(off).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(points)
+    def test_entropy_within_its_range(self, point):
+        """0 <= S <= 1 - 1/D, up to the rounding of a purity of 1: S is
+        exactly 0 for a coherent input (k = 0) and lands up to 3 eps below
+        it on a dense grid of this domain."""
+        q, k, alpha, theta = point
+        series = series_for(alpha, k, q)
+        s = linear_entropy(series, BeamSplitterSetting(theta)).linear_entropy
+        dim = series.n_max + k + 1
+        assert -8.0 * np.finfo(np.float64).eps <= s <= 1.0 - 1.0 / dim
+
+
 class TestReducedPurity:
     def test_single_photon_purity(self):
         """rho_a = diag(1/2, 1/2) for one photon on a balanced splitter."""
@@ -127,6 +185,15 @@ class TestReducedPurity:
                                  converged=True)
         with pytest.raises(UnnormalizedInput):
             reduced_purity(broken)
+
+    def test_rounding_floor_grows_with_the_log_terms(self):
+        """At q=0.3, k=5, |alpha|=0.12 (D=2837) the log terms reach about
+        2e4 and the squared norm misses 1 by 1.4e-12 from rounding alone,
+        past a fixed 1e-12 floor but within eps times that magnitude."""
+        amps = split(series_for(0.12, 5, q=0.3))
+        assert amps.matrix.shape[0] == 2837
+        assert amps.log_scale > 1e4
+        assert 1.0 / 2837 < reduced_purity(amps) < 1.0
 
     def test_schmidt_symmetry(self):
         """Purity of the transmitted mode equals that of the reflected mode

@@ -55,6 +55,12 @@ class TestNonlinearityModel:
         with pytest.raises(InvalidParameter):
             penson_solomon_state(math.inf, 0, 0.5)
 
+    def test_k_capped_at_hard_cap(self):
+        assert StateSpec(alpha_abs=1.0, k=DEFAULT_HARD_CAP).k == DEFAULT_HARD_CAP
+        for k in (DEFAULT_HARD_CAP + 1, 10 ** 160):
+            with pytest.raises(InvalidParameter):
+                StateSpec(alpha_abs=1.0, k=k)
+
 
 class TestLogWeight:
     def test_empty_products_give_unit_weight(self):

@@ -256,10 +256,12 @@ class TestCliExitCodes:
         ["--q", "1e-320", "--k", "0", "--steps", "3"],
         ["--policy", "fixed:1000000000000"],
         ["--steps", "1000000000000"],
+        ["--k", "2000001"],
+        ["--k", "1" + "0" * 160],
     ])
     def test_out_of_range_inputs_exit_2(self, tmp_path, args):
-        """A q whose reciprocal overflows, and the n_max and steps caps, are
-        rejected before any weight or grid is allocated."""
+        """A q whose reciprocal overflows, and the n_max, steps and k caps,
+        are rejected before any weight or grid is allocated."""
         out = tmp_path / "x.csv"
         assert main(["sweep", "--observable", "mandel_q", *args, "--out", str(out)]) == 2
         assert not out.exists()
@@ -271,7 +273,7 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "q=1.0" in err and "k=50000" in err and "|alpha|=0.0" in err and "D=50001" in err
 
-    @pytest.mark.parametrize("text", ["{not json", "[]", "\u00e9"])
+    @pytest.mark.parametrize("text", ["{not json", "[]", "\u00e9", '{"curves": 5}'])
     def test_malformed_manifest_exit_2(self, tmp_path, text):
         manifest = tmp_path / "manifest.json"
         manifest.write_bytes(text.encode("utf-8"))
