@@ -43,7 +43,6 @@ from .sweep import (
     OBSERVABLES,
     PRESETS,
     SweepRequest,
-    emit_plot_script,
     parse_policy,
     run_preset,
     run_sweep,
@@ -73,7 +72,6 @@ __all__ = [
     "TruncationPolicy",
     "UnnormalizedInput",
     "VacuumUndefined",
-    "emit_plot_script",
     "linear_entropy",
     "log_weight",
     "normalization_log",

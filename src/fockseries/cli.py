@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: ``sweep`` (one observable over an |alpha| grid), ``preset``
-(figure-reproduction bundles), ``plot`` (gnuplot script from a preset
-manifest).  Exit codes: 0 success, 2 bad arguments, 3 numeric failure
-(adaptive hard cap, including a term ratio that overflows, or an entropy
-dimension past the split cap), 4 I/O failure.
+Subcommands: ``sweep`` (one observable over an |alpha| grid) and ``preset``
+(a figure's curve CSVs, manifest and gnuplot script ``plot.gp``).  Exit
+codes: 0 success, 2 bad arguments, 3 numeric failure (adaptive hard cap,
+including a term ratio that overflows, or an entropy dimension past the
+split cap), 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from .sweep import (
     OBSERVABLES,
     PRESETS,
     SweepRequest,
-    emit_plot_script,
     parse_policy,
     run_preset,
     run_sweep,
@@ -50,15 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="beam-splitter angle (linear_entropy only)")
     sweep.add_argument("--out", required=True, help="output CSV path")
 
-    preset = sub.add_parser("preset", help="emit the CSVs and manifest of a named figure")
+    preset = sub.add_parser("preset",
+                            help="emit the CSVs, manifest and gnuplot script of a named figure")
     preset.add_argument("--name", required=True, choices=sorted(PRESETS))
     preset.add_argument("--out-dir", required=True)
     preset.add_argument("--steps", type=int, default=None)
     preset.add_argument("--alpha-min", type=float, default=None)
     preset.add_argument("--alpha-max", type=float, default=None)
-
-    plot = sub.add_parser("plot", help="write a gnuplot script for a preset manifest")
-    plot.add_argument("--manifest", required=True)
     return parser
 
 
@@ -86,14 +83,9 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_plot(args: argparse.Namespace) -> int:
-    print(emit_plot_script(args.manifest))
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {"sweep": _cmd_sweep, "preset": _cmd_preset, "plot": _cmd_plot}[args.command]
+    handler = {"sweep": _cmd_sweep, "preset": _cmd_preset}[args.command]
     try:
         return handler(args)
     except (HardCapExceeded, DimensionTooLarge) as exc:

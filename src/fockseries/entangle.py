@@ -29,7 +29,8 @@ from .series import TruncatedSeries, _point, normalization_log
 # amplitude sums about eight roundings of terms up to log_scale in magnitude,
 # and squaring doubles the relative error of exp
 _ROUNDING_ULPS = 16.0
-# largest D for split's dense D x D float64 matrix (512 MB)
+# largest D for split's dense D x D float64 matrix (512 MB, the entropy
+# path's only D x D array)
 MAX_DIM = 8192
 
 
@@ -138,20 +139,23 @@ def reduced_purity(amps: JointAmplitudes) -> float:
 
     The Gram matrix is accumulated row by row over j' >= j (rho_a is
     symmetric, halving the work) without materializing the full density
-    matrix; memory stays O(D) per row.
+    matrix; memory stays O(D) per row.  The squared norm is the sum of the
+    Gram diagonal g[0] = A(j, :) . A(j, :), checked after the loop.
     """
     a = amps.matrix
-    norm = float(np.sum(a ** 2))
+    norm = 0.0
+    purity = 0.0
+    for j in range(a.shape[0]):
+        g = a[j:] @ a[j]
+        norm += g[0]
+        gsq = g ** 2
+        purity += gsq[0] + 2.0 * gsq[1:].sum()
+    norm = float(norm)
     floor = _ROUNDING_ULPS * np.finfo(np.float64).eps * max(1.0, amps.log_scale)
     tol = 10.0 * amps.source_tail_bound + floor
     if not math.isfinite(norm) or abs(norm - 1.0) > tol:
         raise UnnormalizedInput(
             f"joint amplitudes have squared norm {norm!r}, beyond 1 +/- {tol:g}")
-    purity = 0.0
-    for j in range(a.shape[0]):
-        g = a[j:] @ a[j]
-        gsq = g ** 2
-        purity += gsq[0] + 2.0 * gsq[1:].sum()
     return float(purity)
 
 

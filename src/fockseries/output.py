@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from ._version import __version__
-from .errors import InvalidParameter
 
 SCALAR_COLUMNS = ("alpha", "value", "n_max_used", "tail_bound_rel", "converged")
 DISTRIBUTION_COLUMNS = ("alpha", "photon_number", "probability",
@@ -81,12 +80,3 @@ def write_manifest(path: Path | str, manifest: Mapping[str, Any]) -> Path:
                     encoding="ascii", newline="\n")
     return path
 
-
-def read_manifest(path: Path | str) -> dict[str, Any]:
-    try:
-        manifest = json.loads(Path(path).read_text(encoding="ascii"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InvalidParameter(f"{path}: manifest is not ASCII JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise InvalidParameter(f"{path}: manifest is not a JSON object")
-    return manifest

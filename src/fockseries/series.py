@@ -45,13 +45,10 @@ class AdaptiveTruncation:
     """Stop once the certified relative tail bound drops below rel_tol."""
 
     rel_tol: float = DEFAULT_REL_TOL
-    hard_cap: int = DEFAULT_HARD_CAP
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0):
             raise InvalidParameter(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if not isinstance(self.hard_cap, int) or self.hard_cap < 1:
-            raise InvalidParameter(f"hard_cap must be a positive integer, got {self.hard_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -193,9 +190,9 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
     k = spec.k
     # ratio at the cap is exact and overflow-safe; if it is still >= 1 there,
     # the peak lies past the cap and no stopping test can ever pass
-    if not math.isfinite(c) or _ratio(c, k, policy.hard_cap) >= 1.0:
+    if not math.isfinite(c) or _ratio(c, k, DEFAULT_HARD_CAP) >= 1.0:
         raise HardCapExceeded(
-            f"{_point(spec)}: term ratio stays >= 1 at hard_cap={policy.hard_cap}; "
+            f"{_point(spec)}: term ratio stays >= 1 at hard_cap={DEFAULT_HARD_CAP}; "
             "the series peak is beyond desk scale")
     n_peak = _first_subunit_ratio_index(c, k)
 
@@ -208,7 +205,7 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
     # Tail phase: one term at a time with the certified stopping test.
     tail = []
     n = n_peak
-    while n <= policy.hard_cap:
+    while n <= DEFAULT_HARD_CAP:
         lw = _ln_w(n, k, ln_a, ln_inv_q)
         if lw > m:
             scaled_sum *= math.exp(m - lw)
@@ -223,7 +220,7 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
                                        n_max=n, tail_bound_rel=bound, converged=True)
         n += 1
     raise HardCapExceeded(
-        f"{_point(spec)}: adaptive truncation passed hard_cap={policy.hard_cap} "
+        f"{_point(spec)}: adaptive truncation passed hard_cap={DEFAULT_HARD_CAP} "
         f"without certifying rel_tol={policy.rel_tol}")
 
 

@@ -1,4 +1,4 @@
-"""Parameter sweeps over |alpha|, figure presets, and plot-script emission.
+"""Parameter sweeps over |alpha| and figure presets with their gnuplot scripts.
 
 Grid points are independent pure evaluations, written in grid order.
 """
@@ -16,7 +16,6 @@ from .errors import InvalidParameter, VacuumUndefined
 from .output import (
     DISTRIBUTION_COLUMNS,
     SCALAR_COLUMNS,
-    read_manifest,
     write_curve_csv,
     write_manifest,
 )
@@ -168,8 +167,9 @@ class PresetCurve:
 
 @dataclass(frozen=True)
 class Preset:
+    """A Mandel Q figure: one curve per (k, policy) at a shared q."""
+
     name: str
-    observable: str
     q: float
     curves: tuple[PresetCurve, ...]
     assumptions: dict = field(default_factory=dict)
@@ -181,7 +181,7 @@ def _fig1(name: str, q: float, ks: tuple[int, int, int]) -> Preset:
         PresetCurve(filename=f"{name}_k{k}.csv", label=f"k={k}", style=style,
                     width=1, k=k, policy=AdaptiveTruncation())
         for k, style in zip(ks, styles))
-    return Preset(name=name, observable="mandel_q", q=q, curves=curves)
+    return Preset(name=name, q=q, curves=curves)
 
 
 def _fig2() -> Preset:
@@ -193,7 +193,7 @@ def _fig2() -> Preset:
     ]
     curves.append(PresetCurve(filename="fig2_adaptive.csv", label="adaptive reference",
                               style="solid", width=2, k=3, policy=AdaptiveTruncation()))
-    return Preset(name="fig2", observable="mandel_q", q=0.5, curves=tuple(curves),
+    return Preset(name="fig2", q=0.5, curves=tuple(curves),
                   assumptions={"q": "0.5 assumed; the source figure caption does not state it"})
 
 
@@ -209,7 +209,8 @@ def run_preset(name: str,
                steps: int | None = None,
                alpha_min: float | None = None,
                alpha_max: float | None = None) -> list[Path]:
-    """Emit one CSV per preset curve plus a manifest recording every parameter."""
+    """Emit one CSV per preset curve, a manifest recording every parameter,
+    and ``plot.gp``, a gnuplot script drawing the curves."""
     if name not in PRESETS:
         raise InvalidParameter(f"unknown preset {name!r} (have {', '.join(sorted(PRESETS))})")
     preset = PRESETS[name]
@@ -219,7 +220,7 @@ def run_preset(name: str,
     written = []
     manifest_curves = []
     for curve in preset.curves:
-        req = SweepRequest(observable=preset.observable, q=preset.q, k=curve.k,
+        req = SweepRequest(observable="mandel_q", q=preset.q, k=curve.k,
                            output_path=out_dir / curve.filename, alpha_min=alpha_min,
                            alpha_max=alpha_max, steps=steps, policy=curve.policy)
         written.append(run_sweep(req))
@@ -234,7 +235,7 @@ def run_preset(name: str,
     manifest = {
         "fockseries_version": __version__,
         "preset": preset.name,
-        "observable": preset.observable,
+        "observable": "mandel_q",
         "q": preset.q,
         "alpha_min": req.alpha_min,
         "alpha_max": req.alpha_max,
@@ -243,51 +244,31 @@ def run_preset(name: str,
         "curves": manifest_curves,
     }
     written.append(write_manifest(out_dir / "manifest.json", manifest))
+    script = out_dir / "plot.gp"
+    script.write_text(_plot_script(preset), encoding="ascii", newline="\n")
+    written.append(script)
     return written
 
 
-# --- plot script ------------------------------------------------------------
-
 _DASHTYPES = {"solid": 1, "dashed": 2, "dotted": 3, "dot-dashed": 4}
-_YLABELS = {
-    "mandel_q": "Mandel Q",
-    "linear_entropy": "linear entropy S",
-    "mean_n": "mean photon number",
-    "variance": "photon-number variance",
-}
 
 
-def emit_plot_script(manifest_path: Path | str) -> Path:
-    """Write a gnuplot script rendering the manifest's curves; convenience only."""
-    manifest_path = Path(manifest_path)
-    manifest = read_manifest(manifest_path)
-    curves = manifest.get("curves", [])
-    if not isinstance(curves, list) or not curves:
-        raise InvalidParameter(f"{manifest_path}: manifest needs a nonempty 'curves' list")
-    name = manifest.get("preset", "curves")
-    observable = manifest.get("observable", "mandel_q")
+def _plot_script(preset: Preset) -> str:
+    """gnuplot script naming the preset's CSVs relative to its directory."""
     lines = [
-        f"# fockseries v{__version__} plot script for {name}",
+        f"# fockseries v{__version__} plot script for {preset.name}",
         "set datafile separator ','",
         "set key autotitle columnhead",
         "set key bottom right",
         "set xlabel '|alpha|'",
-        f"set ylabel '{_YLABELS.get(observable, observable)}'",
+        "set ylabel 'Mandel Q'",
         "set grid",
         "set terminal pngcairo size 900,600",
-        f"set output '{name}.png'",
+        f"set output '{preset.name}.png'",
+        "plot \\",
+        ", \\\n".join(
+            f"  '{curve.filename}' using 1:2 with lines lw {curve.width}"
+            f" dashtype {_DASHTYPES[curve.style]} title '{curve.label}'"
+            for curve in preset.curves),
     ]
-    plot_parts = []
-    for curve in curves:
-        if not isinstance(curve, dict) or "file" not in curve or "label" not in curve:
-            raise InvalidParameter(f"{manifest_path}: curve entries need 'file' and 'label'")
-        dashtype = _DASHTYPES.get(curve.get("style", "solid"), 1)
-        width = curve.get("width", 1)
-        plot_parts.append(
-            f"  '{curve['file']}' using 1:2 with lines lw {width} dashtype {dashtype}"
-            f" title '{curve['label']}'")
-    lines.append("plot \\")
-    lines.append(", \\\n".join(plot_parts))
-    script_path = manifest_path.parent / "plot.gp"
-    script_path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-    return script_path
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Beam-splitter expansion, reduced purity, and linear entropy."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,17 @@ class TestReducedPurity:
                                  converged=True)
         with pytest.raises(UnnormalizedInput):
             reduced_purity(broken)
+
+    def test_norm_check_allocates_no_second_matrix(self):
+        """The unit-norm check reuses the row loop; peak memory stays O(D)."""
+        amps = split(series_for(2.75, 3))
+        tracemalloc.start()
+        try:
+            reduced_purity(amps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < amps.matrix.nbytes / 10
 
     def test_rounding_floor_grows_with_the_log_terms(self):
         """At q=0.3, k=5, |alpha|=0.12 (D=2837) the log terms reach about

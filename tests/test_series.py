@@ -162,10 +162,12 @@ class TestTruncate:
             assert series.tail_bound_rel <= tol
 
     def test_hard_cap_raises(self):
-        with pytest.raises(HardCapExceeded):
-            adaptive_series(5.0, 3, 0.5, hard_cap=500)
-        with pytest.raises(HardCapExceeded):
-            adaptive_series(2.0, 0, 1.0, hard_cap=4)
+        """Both raise paths at DEFAULT_HARD_CAP: a peak beyond the cap fails
+        the pre-check; a peak just below it runs out of terms to certify."""
+        with pytest.raises(HardCapExceeded, match="term ratio stays >= 1"):
+            adaptive_series(4.0, 5, 0.3)
+        with pytest.raises(HardCapExceeded, match="without certifying"):
+            adaptive_series(math.sqrt(1.999e6), 0, 1.0)
 
     def test_policy_validation(self):
         with pytest.raises(InvalidParameter):

@@ -1,4 +1,4 @@
-"""Sweep evaluation, CSV/manifest emission, presets, plot script, CLI codes."""
+"""Sweep evaluation, CSV/manifest emission, presets and their plot scripts, CLI codes."""
 import json
 import math
 import os
@@ -15,7 +15,6 @@ from fockseries import (
     InvalidParameter,
     SweepRequest,
     __version__,
-    emit_plot_script,
     parse_policy,
     penson_solomon_state,
     photon_statistics,
@@ -167,7 +166,7 @@ class TestPresets:
         paths = run_preset("fig1-left", tmp_path, steps=9)
         names = {p.name for p in paths}
         assert names == {"fig1-left_k1.csv", "fig1-left_k2.csv",
-                         "fig1-left_k3.csv", "manifest.json"}
+                         "fig1-left_k3.csv", "manifest.json", "plot.gp"}
         for k in (1, 2, 3):
             _, rows = read_curve_csv(tmp_path / f"fig1-left_k{k}.csv")
             assert len(rows) == 9
@@ -196,7 +195,7 @@ class TestPresets:
     def test_preset_determinism(self, tmp_path):
         run_preset("fig1-left", tmp_path / "one", steps=5)
         run_preset("fig1-left", tmp_path / "two", steps=5)
-        for name in ("fig1-left_k1.csv", "manifest.json"):
+        for name in ("fig1-left_k1.csv", "manifest.json", "plot.gp"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
     def test_unknown_preset(self, tmp_path):
@@ -207,24 +206,13 @@ class TestPresets:
 class TestPlotScript:
     def test_script_references_all_curves(self, tmp_path):
         run_preset("fig2", tmp_path, steps=5)
-        script = emit_plot_script(tmp_path / "manifest.json")
-        assert script.name == "plot.gp"
-        text = script.read_text()
+        text = (tmp_path / "plot.gp").read_text()
         for n in (100, 200, 400, 700):
             assert f"fig2_nmax{n}.csv" in text
         assert "fig2_adaptive.csv" in text
         assert "dashtype 3" in text   # dotted, per the caption
         assert "dashtype 4" in text   # dot-dashed
         assert "set ylabel 'Mandel Q'" in text
-
-    def test_empty_manifest_is_an_error(self, tmp_path):
-        empty = tmp_path / "manifest.json"
-        empty.write_text("")
-        with pytest.raises(ValueError):
-            emit_plot_script(empty)
-        empty.write_text("{}")
-        with pytest.raises(InvalidParameter):
-            emit_plot_script(empty)
 
 
 class TestCliExitCodes:
@@ -273,12 +261,6 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "q=1.0" in err and "k=50000" in err and "|alpha|=0.0" in err and "D=50001" in err
 
-    @pytest.mark.parametrize("text", ["{not json", "[]", "\u00e9", '{"curves": 5}'])
-    def test_malformed_manifest_exit_2(self, tmp_path, text):
-        manifest = tmp_path / "manifest.json"
-        manifest.write_bytes(text.encode("utf-8"))
-        assert main(["plot", "--manifest", str(manifest)]) == 2
-
     def test_internal_value_error_propagates(self, tmp_path, monkeypatch):
         """Only fockseries errors are reported as bad arguments."""
         def broken(req):
@@ -305,11 +287,7 @@ class TestCliExitCodes:
     def test_preset_and_plot_pipeline(self, tmp_path):
         assert main(["preset", "--name", "fig1-left", "--out-dir", str(tmp_path),
                      "--steps", "4"]) == 0
-        assert main(["plot", "--manifest", str(tmp_path / "manifest.json")]) == 0
         assert (tmp_path / "plot.gp").exists()
-
-    def test_plot_missing_manifest_exit_4(self, tmp_path):
-        assert main(["plot", "--manifest", str(tmp_path / "absent.json")]) == 4
 
     @pytest.mark.parametrize("args", [["--q", "1e-200", "--k", "2"],
                                       ["--alpha-max", "1e200"]])
