@@ -163,10 +163,14 @@ def linear_entropy(series: TruncatedSeries,
                    setting: BeamSplitterSetting = BeamSplitterSetting(),
                    *,
                    allow_unconverged: bool = False) -> EntanglementResult:
-    """S = 1 - Tr(rho_a^2) of the transmitted mode after splitting with vacuum."""
+    """S = 1 - Tr(rho_a^2) of the transmitted mode after splitting with vacuum.
+
+    S is clamped at 0: a pure reduced state's purity can round a few ulps
+    above 1.  ``purity`` keeps the raw value.
+    """
     amps = split(series, setting, allow_unconverged=allow_unconverged)
     purity = reduced_purity(amps)
     return EntanglementResult(purity=purity,
-                              linear_entropy=1.0 - purity,
+                              linear_entropy=max(1.0 - purity, 0.0),
                               theta=setting.theta,
                               converged=amps.converged)

@@ -20,27 +20,26 @@ import mpmath as mp
 
 from .entangle import BeamSplitterSetting, EntanglementResult
 from .errors import DimensionTooLarge, HardCapExceeded, InvalidParameter, VacuumUndefined
-from .output import SCALAR_COLUMNS, write_curve_csv
+from .output import write_curve_csv
 from .series import PhotonStatistics
 from .states import StateSpec, penson_solomon_state
 
 ORACLE_DIM_CAP = 400  # extended-precision purity is O(D^3); larger D is not desk-scale
 _TERM_CAP = 5_000_000
+# summation stops once the next term drops below this fraction of the running
+# sum (and the ratio is below 1)
+TERM_FLOOR_REL = 1e-40
 
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """mantissa_bits of working precision; summation stops once the next term
-    drops below term_floor_rel of the running sum (and the ratio is below 1)."""
+    """mantissa_bits of working precision."""
 
     mantissa_bits: int = 256
-    term_floor_rel: float = 1e-40
 
     def __post_init__(self) -> None:
         if not isinstance(self.mantissa_bits, int) or self.mantissa_bits < 128:
             raise InvalidParameter(f"mantissa_bits must be an integer >= 128, got {self.mantissa_bits!r}")
-        if not (0.0 < self.term_floor_rel < 1.0):
-            raise InvalidParameter(f"term_floor_rel must be in (0, 1), got {self.term_floor_rel}")
 
 
 def _series_terms(spec: StateSpec, cfg: PrecisionConfig) -> tuple[list, mp.mpf, float]:
@@ -56,7 +55,7 @@ def _series_terms(spec: StateSpec, cfg: PrecisionConfig) -> tuple[list, mp.mpf, 
     if spec.alpha_abs == 0.0:
         return [w], w, 0.0
     c = a2 * q ** (-2 * k)
-    floor = mp.mpf(cfg.term_floor_rel)
+    floor = mp.mpf(TERM_FLOOR_REL)
     weights = []
     total = mp.mpf(0)
     n = 0
@@ -97,16 +96,15 @@ def oracle_statistics(spec: StateSpec,
 
 def oracle_entropy(spec: StateSpec,
                    setting: BeamSplitterSetting = BeamSplitterSetting(),
-                   cfg: PrecisionConfig = PrecisionConfig(),
-                   max_dim: int = ORACLE_DIM_CAP) -> EntanglementResult:
+                   cfg: PrecisionConfig = PrecisionConfig()) -> EntanglementResult:
     """Linear entropy by the same splitter expansion, in extended precision."""
     with mp.workprec(cfg.mantissa_bits):
         weights, total, tail = _series_terms(spec, cfg)
         k = spec.k
         dim = len(weights) + k
-        if dim > max_dim:
+        if dim > ORACLE_DIM_CAP:
             raise DimensionTooLarge(
-                f"output dimension {dim} exceeds the oracle cap {max_dim}")
+                f"output dimension {dim} exceeds the oracle cap {ORACLE_DIM_CAP}")
         amps = [mp.sqrt(w / total) for w in weights]  # c_m, m = n + k
         t = mp.cos(mp.mpf(setting.theta))
         r = mp.sin(mp.mpf(setting.theta))
@@ -180,14 +178,13 @@ def write_fixtures(out_dir: Path | str,
                     "k": k,
                     "generator": "oracle",
                     "mantissa_bits": cfg.mantissa_bits,
-                    "term_floor_rel": cfg.term_floor_rel,
+                    "term_floor_rel": TERM_FLOOR_REL,
                     "stopping": "next-term < term_floor_rel * sum and ratio < 1",
                 }
                 if observable == "linear_entropy":
                     metadata["theta"] = setting.theta
                 name = f"{observable}_q{q:g}_k{k}.csv"
-                written.append(write_curve_csv(out_dir / name, metadata, rows,
-                                               SCALAR_COLUMNS))
+                written.append(write_curve_csv(out_dir / name, metadata, rows))
     return written
 
 

@@ -16,8 +16,6 @@ from typing import Any, Iterable, Mapping, Sequence
 from ._version import __version__
 
 SCALAR_COLUMNS = ("alpha", "value", "n_max_used", "tail_bound_rel", "converged")
-DISTRIBUTION_COLUMNS = ("alpha", "photon_number", "probability",
-                        "n_max_used", "tail_bound_rel", "converged")
 
 
 def format_cell(value: Any) -> str:
@@ -34,44 +32,18 @@ def format_cell(value: Any) -> str:
 
 def write_curve_csv(path: Path | str,
                     metadata: Mapping[str, Any],
-                    rows: Iterable[Sequence[Any]],
-                    columns: Sequence[str] = SCALAR_COLUMNS) -> Path:
+                    rows: Iterable[Sequence[Any]]) -> Path:
+    """One row per grid point in the SCALAR_COLUMNS shape."""
     path = Path(path)
     lines = [f"# fockseries v{__version__}"]
     lines.extend(f"# {key}={format_cell(val)}" for key, val in metadata.items())
-    lines.append(",".join(columns))
+    lines.append(",".join(SCALAR_COLUMNS))
     for row in rows:
-        if len(row) != len(columns):
-            raise ValueError(f"row has {len(row)} cells, expected {len(columns)}")
+        if len(row) != len(SCALAR_COLUMNS):
+            raise ValueError(f"row has {len(row)} cells, expected {len(SCALAR_COLUMNS)}")
         lines.append(",".join(format_cell(cell) for cell in row))
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
     return path
-
-
-def read_curve_csv(path: Path | str) -> tuple[dict[str, str], list[dict[str, str]]]:
-    """Parse a curve CSV back into (metadata, rows-of-strings)."""
-    metadata: dict[str, str] = {}
-    rows: list[dict[str, str]] = []
-    columns: list[str] | None = None
-    for line in Path(path).read_text(encoding="ascii").splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                metadata[key.strip()] = val.strip()
-            elif body.startswith("fockseries v"):
-                metadata["version"] = body.removeprefix("fockseries v")
-            continue
-        cells = line.split(",")
-        if columns is None:
-            columns = cells
-            continue
-        rows.append(dict(zip(columns, cells)))
-    if columns is None:
-        raise ValueError(f"{path}: no column header found")
-    return metadata, rows
 
 
 def write_manifest(path: Path | str, manifest: Mapping[str, Any]) -> Path:

@@ -13,32 +13,23 @@ import numpy as np
 from ._version import __version__
 from .entangle import BeamSplitterSetting, linear_entropy
 from .errors import InvalidParameter, VacuumUndefined
-from .output import (
-    DISTRIBUTION_COLUMNS,
-    SCALAR_COLUMNS,
-    write_curve_csv,
-    write_manifest,
-)
+from .output import write_curve_csv, write_manifest
 from .series import (
     DEFAULT_REL_TOL,
     AdaptiveTruncation,
     FixedTruncation,
     TruncationPolicy,
-    photon_distribution,
     photon_statistics,
     truncate,
 )
 from .states import penson_solomon_state
 
-OBSERVABLES = ("mandel_q", "linear_entropy", "mean_n", "variance", "distribution")
+OBSERVABLES = ("mandel_q", "linear_entropy")
 
-# default grids: wide for photon statistics, shorter for entropy
+# default grids: wide for Mandel Q, shorter for entropy
 # (the purity kernel is O(D^3))
 DEFAULT_GRIDS = {
     "mandel_q": (0.0, 5.0, 201),
-    "mean_n": (0.0, 5.0, 201),
-    "variance": (0.0, 5.0, 201),
-    "distribution": (0.0, 5.0, 201),
     "linear_entropy": (0.0, 3.0, 61),
 }
 # the grid is materialized as a list of floats before any point is evaluated
@@ -104,13 +95,10 @@ def _grid(alpha_min: float, alpha_max: float, steps: int) -> list[float]:
     return [float(a) for a in np.linspace(alpha_min, alpha_max, steps)]
 
 
-def _evaluate_point(req: SweepRequest, alpha: float) -> list[tuple]:
-    """Rows for one grid point (several rows when observable=distribution)."""
+def _evaluate_point(req: SweepRequest, alpha: float) -> tuple:
+    """The CSV row for one grid point."""
     spec = penson_solomon_state(alpha, req.k, req.q)
     series = truncate(spec, req.policy)
-    if req.observable == "distribution":
-        return [(alpha, n_photon, prob, series.n_max, series.tail_bound_rel, series.converged)
-                for n_photon, prob in photon_distribution(series)]
     if req.observable == "linear_entropy":
         result = linear_entropy(series, setting=BeamSplitterSetting(req.theta),
                                 allow_unconverged=True)
@@ -119,18 +107,18 @@ def _evaluate_point(req: SweepRequest, alpha: float) -> list[tuple]:
     else:
         try:
             stats = photon_statistics(series)
-            value = getattr(stats, req.observable)
+            value = stats.mandel_q
             converged = stats.converged
         except VacuumUndefined:
             # the row is still written: empty value cell, flagged unconverged
             value = None
             converged = False
-    return [(alpha, value, series.n_max, series.tail_bound_rel, converged)]
+    return (alpha, value, series.n_max, series.tail_bound_rel, converged)
 
 
 def evaluate_sweep(req: SweepRequest) -> list[tuple]:
-    return [row for alpha in _grid(req.alpha_min, req.alpha_max, req.steps)
-            for row in _evaluate_point(req, alpha)]
+    return [_evaluate_point(req, alpha)
+            for alpha in _grid(req.alpha_min, req.alpha_max, req.steps)]
 
 
 def _sweep_metadata(req: SweepRequest) -> dict:
@@ -148,9 +136,7 @@ def _sweep_metadata(req: SweepRequest) -> dict:
 
 def run_sweep(req: SweepRequest) -> Path:
     """Evaluate the grid and write the curve CSV; returns the written path."""
-    rows = evaluate_sweep(req)
-    columns = DISTRIBUTION_COLUMNS if req.observable == "distribution" else SCALAR_COLUMNS
-    return write_curve_csv(req.output_path, _sweep_metadata(req), rows, columns)
+    return write_curve_csv(req.output_path, _sweep_metadata(req), evaluate_sweep(req))
 
 
 # --- figure presets ---------------------------------------------------------
@@ -215,31 +201,31 @@ def run_preset(name: str,
         raise InvalidParameter(f"unknown preset {name!r} (have {', '.join(sorted(PRESETS))})")
     preset = PRESETS[name]
     out_dir = Path(out_dir)
+    # every request is validated before anything touches the disk
+    requests = [SweepRequest(observable="mandel_q", q=preset.q, k=curve.k,
+                             output_path=out_dir / curve.filename, alpha_min=alpha_min,
+                             alpha_max=alpha_max, steps=steps, policy=curve.policy)
+                for curve in preset.curves]
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    written = []
-    manifest_curves = []
-    for curve in preset.curves:
-        req = SweepRequest(observable="mandel_q", q=preset.q, k=curve.k,
-                           output_path=out_dir / curve.filename, alpha_min=alpha_min,
-                           alpha_max=alpha_max, steps=steps, policy=curve.policy)
-        written.append(run_sweep(req))
-        manifest_curves.append({
-            "file": curve.filename,
-            "label": curve.label,
-            "style": curve.style,
-            "width": curve.width,
-            "parameters": _sweep_metadata(req),
-        })
+    written = [run_sweep(req) for req in requests]
+    manifest_curves = [{
+        "file": curve.filename,
+        "label": curve.label,
+        "style": curve.style,
+        "width": curve.width,
+        "parameters": _sweep_metadata(req),
+    } for curve, req in zip(preset.curves, requests)]
     # every curve's request resolved the same grid
+    grid = requests[0]
     manifest = {
         "fockseries_version": __version__,
         "preset": preset.name,
         "observable": "mandel_q",
         "q": preset.q,
-        "alpha_min": req.alpha_min,
-        "alpha_max": req.alpha_max,
-        "steps": req.steps,
+        "alpha_min": grid.alpha_min,
+        "alpha_max": grid.alpha_max,
+        "steps": grid.steps,
         "assumptions": preset.assumptions,
         "curves": manifest_curves,
     }

@@ -23,8 +23,9 @@ from fockseries import (
     truncate,
 )
 from fockseries.cli import main
-from fockseries.output import read_curve_csv
 from fockseries.sweep import MAX_STEPS, policy_label
+
+from curve_csv import read_curve_csv
 
 
 def small_sweep(tmp_path, **overrides):
@@ -104,6 +105,15 @@ class TestRunSweep:
         for row in rows:
             assert abs(float(row["value"])) < 1e-12
 
+    def test_linear_entropy_is_never_negative(self, tmp_path):
+        """A coherent input's purity rounds a few ulps above 1 at some points
+        of this grid; S is clamped at 0 there."""
+        req = SweepRequest(observable="linear_entropy", q=1.0, k=0, theta=0.3,
+                           output_path=tmp_path / "s.csv")
+        _, rows = read_curve_csv(run_sweep(req))
+        assert len(rows) == 61
+        assert all(float(row["value"]) >= 0.0 for row in rows)
+
     def test_unconverged_fixed_rows_are_flagged(self, tmp_path):
         req = small_sweep(tmp_path, q=0.5, k=3, alpha_min=4.0, alpha_max=5.0,
                           steps=2, policy=FixedTruncation(n_max=100))
@@ -112,16 +122,6 @@ class TestRunSweep:
             assert row["converged"] == "false"
             assert row["tail_bound_rel"] == "inf"
             assert row["n_max_used"] == "100"
-
-    def test_distribution_observable_wide_rows(self, tmp_path):
-        req = small_sweep(tmp_path, observable="distribution", q=0.5, k=2,
-                          alpha_min=0.0, alpha_max=1.0, steps=2)
-        _, rows = read_curve_csv(run_sweep(req))
-        assert set(rows[0]) == {"alpha", "photon_number", "probability",
-                                "n_max_used", "tail_bound_rel", "converged"}
-        assert rows[0]["photon_number"] == "2"  # support starts at k
-        by_alpha_zero = [float(r["probability"]) for r in rows if r["alpha"] == "0.0"]
-        assert by_alpha_zero == [1.0]
 
     def test_determinism_byte_identical(self, tmp_path):
         req1 = small_sweep(tmp_path, q=0.7, k=2, output_path=tmp_path / "a.csv")
@@ -144,8 +144,9 @@ class TestRunSweep:
             small_sweep(tmp_path, steps=1)
         with pytest.raises(InvalidParameter):
             small_sweep(tmp_path, alpha_min=2.0, alpha_max=1.0)
-        with pytest.raises(InvalidParameter):
-            small_sweep(tmp_path, observable="wigner")
+        for observable in ("wigner", "distribution", "mean_n"):
+            with pytest.raises(InvalidParameter):
+                small_sweep(tmp_path, observable=observable)
         assert small_sweep(tmp_path, steps=MAX_STEPS).steps == MAX_STEPS
         with pytest.raises(InvalidParameter):
             small_sweep(tmp_path, steps=MAX_STEPS + 1)
@@ -202,6 +203,13 @@ class TestPresets:
         with pytest.raises(InvalidParameter):
             run_preset("fig9", tmp_path)
 
+    def test_bad_grid_leaves_no_directory(self, tmp_path):
+        """Every curve's request is validated before the directory is made."""
+        out_dir = tmp_path / "fig2"
+        with pytest.raises(InvalidParameter):
+            run_preset("fig2", out_dir, alpha_min=3.0, alpha_max=1.0)
+        assert not out_dir.exists()
+
 
 class TestPlotScript:
     def test_script_references_all_curves(self, tmp_path):
@@ -226,9 +234,10 @@ class TestCliExitCodes:
         assert str(out) in capsys.readouterr().out
 
     def test_bad_arguments_exit_2(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--observable", "wigner", "--out", "x.csv"])
-        assert exc.value.code == 2
+        for observable in ("wigner", "distribution", "mean_n"):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--observable", observable, "--out", "x.csv"])
+            assert exc.value.code == 2
         code = main(["sweep", "--observable", "mandel_q", "--steps", "1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
