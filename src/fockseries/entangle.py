@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammaln
 
 from .errors import DimensionTooLarge, InvalidParameter, InvalidTheta, UnnormalizedInput
-from .series import TruncatedSeries, _point, normalization_log
+from .series import TruncatedSeries, _ln_factorials, _point, normalization_log
 
 # rounding slack on the unit-norm check, in units of eps * log_scale: each log
 # amplitude sums about eight roundings of terms up to log_scale in magnitude,
@@ -114,7 +113,7 @@ def split(series: TruncatedSeries,
     ln_r = math.log(setting.reflectance)
 
     # Hankel views lg_m[j, l] = ln (j+l)! and ln_c_m[j, l] = ln c_{j+l}
-    lg = gammaln(np.arange(2 * dim - 1, dtype=np.float64) + 1.0)
+    lg = _ln_factorials(2 * dim - 1)
     ln_c_pad = np.full(2 * dim - 1, -np.inf)
     ln_c_pad[k:dim] = ln_c
     lg_m = sliding_window_view(lg, dim)

@@ -21,7 +21,7 @@ import mpmath as mp
 from .entangle import BeamSplitterSetting, EntanglementResult
 from .errors import DimensionTooLarge, HardCapExceeded, InvalidParameter, VacuumUndefined
 from .output import write_curve_csv
-from .series import PhotonStatistics
+from .series import PhotonStatistics, _point
 from .states import StateSpec, penson_solomon_state
 
 ORACLE_DIM_CAP = 400  # extended-precision purity is O(D^3); larger D is not desk-scale
@@ -87,7 +87,7 @@ def oracle_statistics(spec: StateSpec,
         s2 = mp.fsum(w * (n + k) ** 2 for n, w in enumerate(weights))
         mean = s1 / total
         if mean == 0:
-            raise VacuumUndefined("Mandel Q undefined for the vacuum")
+            raise VacuumUndefined(f"{_point(spec)}: Mandel Q undefined for the vacuum")
         variance = s2 / total - mean ** 2
         mandel = variance / mean - 1
     return PhotonStatistics(mean_n=mean, variance=variance, mandel_q=mandel,

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import (
     DegenerateAmplitude,
@@ -38,6 +37,19 @@ from .errors import (
 from .states import DEFAULT_HARD_CAP, StateSpec
 
 DEFAULT_REL_TOL = 1e-14
+
+# cephes lgam, the log-gamma behind gammaln, for x >= 13: ln sqrt(2 pi)
+# and the Stirling series in 1/x^2, 5 terms below x = 1000 and 3 from there
+_LS2PI = 0.91893853320467274178
+_STIRLING_5 = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+               7.93650340457716943945e-4, -2.77777777730099687205e-3,
+               8.33333333333331927722e-2)
+_STIRLING_3 = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+               0.0833333333333333333333)
+# largest ln m! table any caller needs: ln (k + n)! with k, n <= the cap
+_LN_FACT_CAP = 2 * DEFAULT_HARD_CAP + 2
+_ln_fact = np.empty(0)  # read-only; rebound when it grows, never written
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,12 +112,67 @@ def _index(n: int) -> int:
     return int(n)
 
 
-def _ln_w(n, k: int, ln_a: float, ln_inv_q: float, lgamma=math.lgamma):
-    """ln w_n for a Python int n (math.lgamma) or a float array n (gammaln).
-    The two differ in the last bit on some integers, so each index range keeps
-    its own: arrays for the adaptive bulk and fixed cutoffs, ints elsewhere."""
-    return (2.0 * n * ln_a + lgamma(n + k + 1) - 2.0 * lgamma(n + 1)
+def _build_ln_factorials(size: int) -> np.ndarray:
+    """ln m! for m < size as cephes lgam(m + 1) computes it: the log of the
+    exact product m! below m = 12, Stirling's series in x = m + 1 above,
+    built in chunks so the temporaries stay small next to the table."""
+    table = np.empty(size)
+    table[:12] = [math.log(math.factorial(m)) for m in range(min(size, 12))]
+    edges = [12, *range(999, size, _CHUNK), size]  # x = 1000 opens a chunk
+    for lo, hi in zip(edges, edges[1:]):
+        x = np.arange(lo + 1.0, hi + 1.0)
+        # math.log, not np.log: numpy's SIMD log differs from libm's on some x
+        ln_x = np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+        p = 1.0 / (x * x)
+        poly = 0.0
+        for c in _STIRLING_5 if lo < 999 else _STIRLING_3:
+            poly = poly * p + c
+        table[lo:hi] = (x - 0.5) * ln_x - x + _LS2PI + poly / x
+    return table
+
+
+def _ln_factorials(n: int) -> np.ndarray:
+    """ln m! for m < n: a read-only view of one table shared by the process,
+    which at least doubles when it grows, up to the largest size needed."""
+    global _ln_fact
+    table = _ln_fact
+    if n > table.size:
+        table = _build_ln_factorials(max(n, min(2 * table.size, _LN_FACT_CAP)))
+        table.flags.writeable = False
+        _ln_fact = table
+    return table[:n]
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """ln sum exp(a) of a finite 1-D array in the reference logsumexp's
+    operation order: the maximal entries leave the sum as log(count)."""
+    a_max = a.max()
+    at_max = a == a_max
+    count = np.float64(np.count_nonzero(at_max))
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum()
+    if s != 0.0:
+        s = s / count
+    return float(np.log1p(s) + np.log(count) + a_max)
+
+
+def _ln_w(n, k: int, ln_a: float, ln_inv_q: float, ln_fact_nk, ln_fact_n):
+    """ln w_n from ln (n+k)! and ln n!, for a Python int n or a float array.
+
+    Arrays (the adaptive bulk and fixed cutoffs, via _ln_w_head) slice both
+    factorials from the _ln_factorials table, which equals gammaln bit for
+    bit.  Python ints (the adaptive tail and log_weight) keep math.lgamma:
+    it differs from gammaln in the last bit on about half the integers, so
+    moving either range to the other source would change output bytes.
+    """
+    return (2.0 * n * ln_a + ln_fact_nk - 2.0 * ln_fact_n
             + (k * (k - 1) + 2 * n * k) * ln_inv_q)
+
+
+def _ln_w_head(count: int, k: int, ln_a: float, ln_inv_q: float) -> np.ndarray:
+    """ln w_n for n < count, read from contiguous slices of the table."""
+    lf = _ln_factorials(k + count)
+    return _ln_w(np.arange(count, dtype=np.float64), k, ln_a, ln_inv_q,
+                 lf[k:k + count], lf[:count])
 
 
 def log_weight(spec: StateSpec, n: int) -> float:
@@ -117,7 +184,8 @@ def log_weight(spec: StateSpec, n: int) -> float:
             "alpha_abs = 0: w_n vanishes for every n > 0; only n = 0 has a finite log-weight")
     # the |alpha| term is exactly 0 at n = 0, so any finite ln|alpha| serves
     ln_a = math.log(spec.alpha_abs) if spec.alpha_abs > 0.0 else 0.0
-    return _ln_w(n, spec.k, ln_a, math.log(1.0 / spec.q))
+    k = spec.k
+    return _ln_w(n, k, ln_a, math.log(1.0 / spec.q), math.lgamma(n + k + 1), math.lgamma(n + 1))
 
 
 def weight_ratio(spec: StateSpec, n: int) -> float:
@@ -198,7 +266,7 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
 
     # Bulk phase: all n < n_peak have ratio >= 1, so the stopping test cannot
     # pass there; evaluate them vectorized.
-    bulk = _ln_w(np.arange(n_peak, dtype=np.float64), k, ln_a, ln_inv_q, gammaln)
+    bulk = _ln_w_head(n_peak, k, ln_a, ln_inv_q)
     m = float(bulk.max(initial=-math.inf))
     scaled_sum = float(np.exp(bulk - m).sum())
 
@@ -206,7 +274,7 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
     tail = []
     n = n_peak
     while n <= DEFAULT_HARD_CAP:
-        lw = _ln_w(n, k, ln_a, ln_inv_q)
+        lw = _ln_w(n, k, ln_a, ln_inv_q, math.lgamma(n + k + 1), math.lgamma(n + 1))
         if lw > m:
             scaled_sum *= math.exp(m - lw)
             m = lw
@@ -226,7 +294,7 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
 
 def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,
                     ln_a: float, ln_inv_q: float, c: float) -> TruncatedSeries:
-    lws = _ln_w(np.arange(policy.n_max + 1, dtype=np.float64), spec.k, ln_a, ln_inv_q, gammaln)
+    lws = _ln_w_head(policy.n_max + 1, spec.k, ln_a, ln_inv_q)
     r = _ratio(c, spec.k, policy.n_max)
     if r >= 1.0:
         # no geometric bound exists; the neglected tail may dominate
@@ -240,7 +308,7 @@ def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,
 
 def normalization_log(series: TruncatedSeries) -> float:
     """ln N = -(1/2) ln sum_n w_n over the retained weights."""
-    return -0.5 * float(logsumexp(series.log_weights))
+    return -0.5 * _logsumexp(series.log_weights)
 
 
 def photon_distribution(series: TruncatedSeries) -> list[tuple[int, float]]:
@@ -269,7 +337,8 @@ def photon_statistics(series: TruncatedSeries) -> PhotonStatistics:
     total = z.sum()
     mean = float((z * ns).sum() / total)
     if mean == 0.0:
-        raise VacuumUndefined("Mandel Q undefined for the vacuum (mean photon number 0)")
+        raise VacuumUndefined(
+            f"{_point(series.spec)}: Mandel Q undefined for the vacuum (mean photon number 0)")
     variance = float((z * (ns - mean) ** 2).sum() / total)
     return PhotonStatistics(mean_n=mean,
                             variance=variance,

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
 from fockseries import (
     DEFAULT_HARD_CAP,
@@ -22,6 +24,7 @@ from fockseries import (
     truncate,
     weight_ratio,
 )
+from fockseries.series import _LN_FACT_CAP, _ln_factorials, _logsumexp
 
 # extended-precision oracle pins (tests/fixtures are the full grid; these two
 # back the single-value examples)
@@ -192,6 +195,43 @@ class TestTruncate:
             assert gained < series.tail_bound_rel
 
 
+def same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.int64), np.asarray(y).view(np.int64))
+
+
+class TestScipyFreeKernels:
+    """The ln m! table and the log-sum-exp equal scipy.special bit for bit,
+    so the runtime can go without scipy and no output byte moves."""
+
+    def test_ln_factorials_match_gammaln_over_reachable_range(self):
+        lf = _ln_factorials(_LN_FACT_CAP)
+        assert lf.size == _LN_FACT_CAP == 2 * DEFAULT_HARD_CAP + 2
+        assert same_bits(lf, gammaln(np.arange(_LN_FACT_CAP, dtype=np.float64) + 1.0))
+
+    def test_ln_factorials_prefix_is_read_only(self):
+        lf = _ln_factorials(20)
+        assert lf.size == 20
+        with pytest.raises(ValueError):
+            lf[3] = 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e6, 1e6),
+           st.lists(st.floats(-800.0, 0.0), min_size=1, max_size=60),
+           st.integers(0, 3))
+    def test_logsumexp_matches_scipy_bitwise(self, shift, offsets, ties):
+        """Includes tied maxima, which scipy takes out of the sum."""
+        a = shift + np.array(offsets + [max(offsets)] * ties)
+        assert same_bits(_logsumexp(a), logsumexp(a))
+
+    def test_logsumexp_tie_in_real_weights(self):
+        """q=1, k=0, |alpha|=1 has w_0 = w_1 = 1, a tie at the maximum."""
+        series = adaptive_series(1.0, 0, 1.0)
+        assert series.log_weights[0] == series.log_weights[1] == series.log_weights.max()
+        assert same_bits(_logsumexp(series.log_weights), logsumexp(series.log_weights))
+        assert same_bits(normalization_log(series),
+                         -0.5 * float(logsumexp(series.log_weights)))
+
+
 class TestPhotonDistribution:
     def test_fock_limit(self):
         series = truncate(penson_solomon_state(0.0, 3, 0.5), AdaptiveTruncation())
@@ -243,7 +283,7 @@ class TestPhotonStatistics:
 
     def test_vacuum_raises(self):
         series = adaptive_series(0.0, 0, 1.0)
-        with pytest.raises(VacuumUndefined):
+        with pytest.raises(VacuumUndefined, match="q=1.0, k=0, .alpha.=0.0"):
             photon_statistics(series)
 
     def test_oracle_pinned_mandel_q(self):

@@ -316,10 +316,12 @@ class TestCliExitCodes:
         assert all(r["converged"] == "false" and r["tail_bound_rel"] == "inf"
                    for r in rows[1:])
 
-    def test_cli_does_not_load_mpmath(self):
-        """The oracle's mpmath is loaded only by fockseries.oracle."""
+    @pytest.mark.parametrize("module", ["mpmath", "scipy"])
+    def test_cli_does_not_load(self, module):
+        """The oracle's mpmath is loaded only by fockseries.oracle, and scipy
+        (a test-only reference) never."""
         src = Path(fockseries.__file__).resolve().parent.parent
-        code = "import sys, fockseries.cli; assert 'mpmath' not in sys.modules"
+        code = f"import sys, fockseries.cli; assert {module!r} not in sys.modules"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
         assert proc.returncode == 0, proc.stderr
