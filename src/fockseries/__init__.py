@@ -21,7 +21,6 @@ from .errors import (
     InvalidParameter,
     InvalidTheta,
     UnnormalizedInput,
-    VacuumUndefined,
 )
 from .series import (
     DEFAULT_HARD_CAP,
@@ -71,7 +70,6 @@ __all__ = [
     "TruncatedSeries",
     "TruncationPolicy",
     "UnnormalizedInput",
-    "VacuumUndefined",
     "linear_entropy",
     "log_weight",
     "normalization_log",

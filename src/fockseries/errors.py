@@ -13,10 +13,6 @@ class DegenerateAmplitude(FockSeriesError, ValueError):
     """Weight requested at n > 0 for a zero-amplitude state (w_n is exactly 0)."""
 
 
-class VacuumUndefined(FockSeriesError, ArithmeticError):
-    """Mandel Q is undefined for the vacuum (mean photon number 0)."""
-
-
 class HardCapExceeded(FockSeriesError, RuntimeError):
     """Adaptive truncation passed its term cap; the parameters are not desk-scale."""
 

@@ -7,22 +7,18 @@ multiplicative recurrence
     w_0 = q^(-k(k-1)) k!,    w_{n+1} = w_n * |alpha|^2 q^(-2k) (n+k+1)/(n+1)^2
 
 in 256-bit (default) arithmetic and summing directly, so any disagreement
-with the double-precision modules localizes the bug.  Also generates the
-golden fixture CSVs consumed by the test suite; fixtures are written once,
-committed with their generation metadata, and never hand-edited.
+with the double-precision modules localizes the bug.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import mpmath as mp
 
 from .entangle import BeamSplitterSetting, EntanglementResult
-from .errors import DimensionTooLarge, HardCapExceeded, InvalidParameter, VacuumUndefined
-from .output import write_curve_csv
+from .errors import DimensionTooLarge, HardCapExceeded, InvalidParameter
 from .series import PhotonStatistics, _point
-from .states import StateSpec, penson_solomon_state
+from .states import StateSpec
 
 ORACLE_DIM_CAP = 400  # extended-precision purity is O(D^3); larger D is not desk-scale
 _TERM_CAP = 5_000_000
@@ -70,7 +66,7 @@ def _series_terms(spec: StateSpec, cfg: PrecisionConfig) -> tuple[list, mp.mpf, 
         w = w_next
         n += 1
         if n > _TERM_CAP:
-            raise HardCapExceeded(f"oracle series passed {_TERM_CAP} terms")
+            raise HardCapExceeded(f"{_point(spec)}: oracle series passed {_TERM_CAP} terms")
 
 
 def oracle_statistics(spec: StateSpec,
@@ -78,7 +74,8 @@ def oracle_statistics(spec: StateSpec,
     """Mean, variance, and Mandel Q by direct extended-precision summation.
 
     The returned fields hold mpmath values (callers wanting float64 should
-    convert); at 256 bits the plain <n^2> - <n>^2 form is safe.
+    convert); at 256 bits the plain <n^2> - <n>^2 form is safe.  mandel_q is
+    None for the vacuum, whose mean photon number is 0.
     """
     with mp.workprec(cfg.mantissa_bits):
         weights, total, tail = _series_terms(spec, cfg)
@@ -86,10 +83,8 @@ def oracle_statistics(spec: StateSpec,
         s1 = mp.fsum(w * (n + k) for n, w in enumerate(weights))
         s2 = mp.fsum(w * (n + k) ** 2 for n, w in enumerate(weights))
         mean = s1 / total
-        if mean == 0:
-            raise VacuumUndefined(f"{_point(spec)}: Mandel Q undefined for the vacuum")
         variance = s2 / total - mean ** 2
-        mandel = variance / mean - 1
+        mandel = None if mean == 0 else variance / mean - 1
     return PhotonStatistics(mean_n=mean, variance=variance, mandel_q=mandel,
                             tail_bound_rel=tail, converged=True)
 
@@ -104,7 +99,7 @@ def oracle_entropy(spec: StateSpec,
         dim = len(weights) + k
         if dim > ORACLE_DIM_CAP:
             raise DimensionTooLarge(
-                f"output dimension {dim} exceeds the oracle cap {ORACLE_DIM_CAP}")
+                f"{_point(spec)}: output dimension {dim} exceeds the oracle cap {ORACLE_DIM_CAP}")
         amps = [mp.sqrt(w / total) for w in weights]  # c_m, m = n + k
         t = mp.cos(mp.mpf(setting.theta))
         r = mp.sin(mp.mpf(setting.theta))
@@ -132,82 +127,8 @@ def oracle_entropy(spec: StateSpec,
                               theta=setting.theta, converged=True)
 
 
-# --- golden fixtures -------------------------------------------------------
-
-FIXTURE_QS = (0.5, 0.8, 1.0)
-FIXTURE_KS = (0, 1, 3)
-FIXTURE_ALPHAS = (0.0, 0.5, 1.0, 2.0)
-
-
-def write_fixtures(out_dir: Path | str,
-                   cfg: PrecisionConfig = PrecisionConfig(),
-                   observables: tuple[str, ...] = ("mandel_q", "linear_entropy")) -> list[Path]:
-    """Emit the golden fixture CSVs for the {q} x {k} x {alpha} grid.
-
-    Vacuum points are skipped for mandel_q (Q undefined) and points whose
-    output dimension exceeds the oracle cap are skipped for linear_entropy;
-    every written row is a valid combination.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    setting = BeamSplitterSetting()
-    written = []
-    for observable in observables:
-        for q in FIXTURE_QS:
-            for k in FIXTURE_KS:
-                rows = []
-                for alpha in FIXTURE_ALPHAS:
-                    spec = penson_solomon_state(alpha, k, q)
-                    if observable == "mandel_q":
-                        try:
-                            stats = oracle_statistics(spec, cfg)
-                        except VacuumUndefined:
-                            continue
-                        n_used, tail = _oracle_terms(spec, cfg)
-                        rows.append((alpha, float(stats.mandel_q), n_used, tail, True))
-                    else:
-                        try:
-                            result = oracle_entropy(spec, setting, cfg)
-                        except DimensionTooLarge:
-                            continue
-                        n_used, tail = _oracle_terms(spec, cfg)
-                        rows.append((alpha, float(result.linear_entropy), n_used, tail, True))
-                metadata = {
-                    "observable": observable,
-                    "q": float(q),
-                    "k": k,
-                    "generator": "oracle",
-                    "mantissa_bits": cfg.mantissa_bits,
-                    "term_floor_rel": TERM_FLOOR_REL,
-                    "stopping": "next-term < term_floor_rel * sum and ratio < 1",
-                }
-                if observable == "linear_entropy":
-                    metadata["theta"] = setting.theta
-                name = f"{observable}_q{q:g}_k{k}.csv"
-                written.append(write_curve_csv(out_dir / name, metadata, rows))
-    return written
-
-
+# bench/run.py's oracle observer counts terms through this; keep the signature
 def _oracle_terms(spec: StateSpec, cfg: PrecisionConfig) -> tuple[int, float]:
     with mp.workprec(cfg.mantissa_bits):
         weights, _, tail = _series_terms(spec, cfg)
     return len(weights) - 1, tail
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m fockseries.oracle",
-        description="Regenerate the committed golden fixtures.")
-    parser.add_argument("--out-dir", required=True)
-    parser.add_argument("--mantissa-bits", type=int, default=256)
-    args = parser.parse_args(argv)
-    paths = write_fixtures(args.out_dir, PrecisionConfig(mantissa_bits=args.mantissa_bits))
-    for path in paths:
-        print(path)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

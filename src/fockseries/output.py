@@ -1,5 +1,4 @@
-"""Deterministic CSV and JSON emission shared by the CLI sweeps and the
-oracle fixture generator.
+"""Deterministic CSV and JSON emission for the CLI sweeps and presets.
 
 Format: a `# fockseries v<version>` header line, `# key=value` metadata
 lines, a column-name line, then comma-separated rows.  Floats are written

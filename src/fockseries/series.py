@@ -32,7 +32,6 @@ from .errors import (
     DegenerateAmplitude,
     HardCapExceeded,
     InvalidParameter,
-    VacuumUndefined,
 )
 from .states import DEFAULT_HARD_CAP, StateSpec
 
@@ -101,7 +100,7 @@ class TruncatedSeries:
 class PhotonStatistics:
     mean_n: float
     variance: float
-    mandel_q: float
+    mandel_q: float | None  # None for the vacuum (mean 0)
     tail_bound_rel: float
     converged: bool
 
@@ -329,19 +328,17 @@ def photon_statistics(series: TruncatedSeries) -> PhotonStatistics:
 
     Two-pass evaluation: the mean first, then the variance in centered form
     sum w_n (n+k-mu)^2 / sum w_n, which avoids the cancellation of
-    <n^2> - <n>^2 when the mean is large.  Q = variance/mean - 1.
+    <n^2> - <n>^2 when the mean is large.  Q = variance/mean - 1, and None
+    for the vacuum, whose mean is 0.
     """
     lws = series.log_weights
     z = np.exp(lws - lws.max())
     ns = np.arange(lws.size, dtype=np.float64) + series.spec.k
     total = z.sum()
     mean = float((z * ns).sum() / total)
-    if mean == 0.0:
-        raise VacuumUndefined(
-            f"{_point(series.spec)}: Mandel Q undefined for the vacuum (mean photon number 0)")
     variance = float((z * (ns - mean) ** 2).sum() / total)
     return PhotonStatistics(mean_n=mean,
                             variance=variance,
-                            mandel_q=variance / mean - 1.0,
+                            mandel_q=variance / mean - 1.0 if mean else None,
                             tail_bound_rel=series.tail_bound_rel,
                             converged=series.converged)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._version import __version__
 from .entangle import BeamSplitterSetting, linear_entropy
-from .errors import InvalidParameter, VacuumUndefined
+from .errors import InvalidParameter
 from .output import write_curve_csv, write_manifest
 from .series import (
     DEFAULT_REL_TOL,
@@ -105,14 +105,10 @@ def _evaluate_point(req: SweepRequest, alpha: float) -> tuple:
         value = result.linear_entropy
         converged = result.converged
     else:
-        try:
-            stats = photon_statistics(series)
-            value = stats.mandel_q
-            converged = stats.converged
-        except VacuumUndefined:
-            # the row is still written: empty value cell, flagged unconverged
-            value = None
-            converged = False
+        stats = photon_statistics(series)
+        value = stats.mandel_q
+        # the vacuum row is still written: empty value cell, flagged unconverged
+        converged = stats.converged and value is not None
     return (alpha, value, series.n_max, series.tail_bound_rel, converged)
 
 

@@ -23,10 +23,10 @@ from fockseries import (
 from fockseries.oracle import oracle_entropy, oracle_statistics
 
 FIG1_SETS = [(0.5, 1), (0.5, 2), (0.5, 3), (0.8, 4), (0.8, 6), (0.8, 8)]
-FIXTURE_GRID = [(q, k, a)
-                for q in (0.5, 0.8, 1.0)
-                for k in (0, 1, 3)
-                for a in (0.0, 0.5, 1.0, 2.0)]
+ORACLE_GRID = [(q, k, a)
+               for q in (0.5, 0.8, 1.0)
+               for k in (0, 1, 3)
+               for a in (0.0, 0.5, 1.0, 2.0)]
 
 
 def report(number: int, description: str, ok: bool, elapsed: float) -> None:
@@ -91,13 +91,13 @@ def test_criterion_3_truncation_error_reproduction():
 
 def test_criterion_4_oracle_equivalence():
     """Double precision agrees with the 256-bit oracle within 1e-9 relative
-    (absolute floor 1e-9 where the true value is 0) on the fixture grid;
+    (absolute floor 1e-9 where the true value is 0) on the oracle grid;
     < 2 min, oracle-dominated."""
     t0 = time.perf_counter()
     policy = AdaptiveTruncation()
     setting = BeamSplitterSetting()
     ok = True
-    for q, k, alpha in FIXTURE_GRID:
+    for q, k, alpha in ORACLE_GRID:
         spec = penson_solomon_state(alpha, k, q)
         series = truncate(spec, policy)
         if not (k == 0 and alpha == 0.0):
@@ -111,7 +111,7 @@ def test_criterion_4_oracle_equivalence():
         main_s = linear_entropy(series, setting=setting).linear_entropy
         ok &= math.isclose(main_s, ref_s, rel_tol=1e-9, abs_tol=1e-9)
     elapsed = time.perf_counter() - t0
-    report(4, "oracle equivalence: Q and S within 1e-9 on the fixture grid",
+    report(4, "oracle equivalence: Q and S within 1e-9 on the oracle grid",
            ok and elapsed < 120.0, elapsed)
 
 

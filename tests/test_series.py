@@ -15,7 +15,6 @@ from fockseries import (
     HardCapExceeded,
     InvalidParameter,
     StateSpec,
-    VacuumUndefined,
     log_weight,
     normalization_log,
     penson_solomon_state,
@@ -26,8 +25,8 @@ from fockseries import (
 )
 from fockseries.series import _LN_FACT_CAP, _ln_factorials, _logsumexp
 
-# extended-precision oracle pins (tests/fixtures are the full grid; these two
-# back the single-value examples)
+# extended-precision oracle pins (criterion 4 runs the oracle live on its
+# grid; these two back the single-value examples)
 LW5_Q05_K3_A05 = 19.051446111739736     # ln w_5 at q=0.5, k=3, |alpha|=0.5
 LNN_Q05_K1_A05 = -0.8465735902799727    # ln N at q=0.5, k=1, |alpha|=0.5
 
@@ -281,10 +280,12 @@ class TestPhotonStatistics:
         assert abs(stats.mandel_q) < 1e-12
         assert abs(stats.mean_n - 4.0) < 1e-12
 
-    def test_vacuum_raises(self):
-        series = adaptive_series(0.0, 0, 1.0)
-        with pytest.raises(VacuumUndefined, match="q=1.0, k=0, .alpha.=0.0"):
-            photon_statistics(series)
+    def test_vacuum_moments(self):
+        """Mean and variance are 0 at the vacuum; Q = variance/mean is not defined."""
+        stats = photon_statistics(adaptive_series(0.0, 0, 1.0))
+        assert stats.mean_n == 0.0
+        assert stats.variance == 0.0
+        assert stats.mandel_q is None
 
     def test_oracle_pinned_mandel_q(self):
         """Q = -1/2 exactly at q=0.5, k=1, |alpha|=0.5 (256-bit oracle)."""
