@@ -26,12 +26,10 @@ from .states import penson_solomon_state
 
 OBSERVABLES = ("mandel_q", "linear_entropy")
 
-# default grids: wide for Mandel Q, shorter for entropy
-# (the purity kernel is O(D^3))
-DEFAULT_GRIDS = {
-    "mandel_q": (0.0, 5.0, 201),
-    "linear_entropy": (0.0, 3.0, 61),
-}
+# default (alpha_min, alpha_max, steps): the paper's full |alpha| range for
+# both observables (the purity is O(W^3) in the side W of the joint matrix's
+# mass box, about 640 at D=1923)
+DEFAULT_GRID = (0.0, 5.0, 201)
 # the grid is materialized as a list of floats before any point is evaluated
 MAX_STEPS = 100_000
 
@@ -64,7 +62,7 @@ def policy_label(policy: TruncationPolicy) -> str:
 @dataclass(frozen=True)
 class SweepRequest:
     """One observable over an |alpha| grid; an unset grid bound or step count
-    takes the observable's entry in DEFAULT_GRIDS."""
+    takes its entry in DEFAULT_GRID."""
 
     observable: str
     q: float
@@ -79,8 +77,7 @@ class SweepRequest:
     def __post_init__(self) -> None:
         if self.observable not in OBSERVABLES:
             raise InvalidParameter(f"unknown observable {self.observable!r}")
-        grid = DEFAULT_GRIDS[self.observable]
-        for name, default in zip(("alpha_min", "alpha_max", "steps"), grid):
+        for name, default in zip(("alpha_min", "alpha_max", "steps"), DEFAULT_GRID):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
         if not (0.0 <= self.alpha_min <= self.alpha_max):

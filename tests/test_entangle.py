@@ -1,4 +1,5 @@
 """Beam-splitter expansion, reduced purity, and linear entropy."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,7 +24,7 @@ from fockseries import (
     split,
     truncate,
 )
-from fockseries.entangle import MAX_DIM
+from fockseries.entangle import MAX_DIM, _mass_window
 from fockseries.series import normalization_log
 
 # 256-bit oracle pins
@@ -54,6 +55,11 @@ def split_by_antidiagonal(series, setting):
 # (q, k, |alpha|, theta) with |alpha|^2 q^(-2k) <= 72, so D stays below 200
 points = st.tuples(st.floats(0.7, 1.0), st.integers(0, 6), st.floats(0.0, 1.0),
                    st.floats(1e-3, math.pi / 2.0))
+
+
+def dense_purity(a):
+    """Reference Tr(rho_a^2) from the full D x D Gram matrix."""
+    return float(np.sum((a @ a.T) ** 2))
 
 
 def fock_entropy(k: int) -> float:
@@ -180,14 +186,14 @@ class TestReducedPurity:
 
     def test_unnormalized_input_rejected(self):
         amps = split(series_for(0.0, 1))
-        broken = JointAmplitudes(matrix=amps.matrix * 1.5, theta=amps.theta,
-                                 source_tail_bound=amps.source_tail_bound,
-                                 converged=True)
-        with pytest.raises(UnnormalizedInput):
+        broken = dataclasses.replace(amps, matrix=amps.matrix * 1.5)
+        match = r"^q=0.5, k=1, .alpha.=0.0: joint amplitudes have squared norm 2.25"
+        with pytest.raises(UnnormalizedInput, match=match):
             reduced_purity(broken)
 
     def test_norm_check_allocates_no_second_matrix(self):
-        """The unit-norm check reuses the row loop; peak memory stays O(D)."""
+        """The row and column masses and the 32-row Gram blocks need O(D)
+        and 32 x W extra memory, never a second D x D array."""
         amps = split(series_for(2.75, 3))
         tracemalloc.start()
         try:
@@ -205,6 +211,34 @@ class TestReducedPurity:
         assert amps.matrix.shape[0] == 2837
         assert amps.log_scale > 1e4
         assert 1.0 / 2837 < reduced_purity(amps) < 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(points)
+    def test_matches_dense_gram(self, point):
+        """theta down to 1e-3 leaves very rectangular mass boxes."""
+        q, k, alpha, theta = point
+        amps = split(series_for(alpha, k, q), BeamSplitterSetting(theta))
+        assert abs(reduced_purity(amps) - dense_purity(amps.matrix)) <= 1e-14
+
+    @pytest.mark.parametrize("theta", [math.pi / 4.0, 0.3])
+    def test_matches_dense_gram_at_the_range_end(self, theta):
+        """|alpha| = 5 at q=0.5, k=3 is the largest D (1923) of the paper's range."""
+        amps = split(series_for(5.0, 3), BeamSplitterSetting(theta))
+        assert amps.matrix.shape[0] == 1923
+        assert abs(reduced_purity(amps) - dense_purity(amps.matrix)) <= 1e-14
+
+    def test_mass_window_trims_light_edges(self):
+        """Each edge loses its longest run of cumulative mass <= 1e-30; the
+        entry that takes the run past 1e-30 stays."""
+        mass = np.array([0.0, 5e-31, 5e-31, 1e-31, 0.5, 0.5, 1e-30, 0.0])
+        assert _mass_window(mass) == (3, 6)
+        assert _mass_window(np.array([1.0])) == (0, 1)
+
+    def test_single_cell_matrix_keeps_its_cell(self):
+        """The vacuum splits to the 1 x 1 matrix [[1.0]]."""
+        amps = split(series_for(0.0, 0, q=1.0))
+        assert amps.matrix.shape == (1, 1)
+        assert reduced_purity(amps) == 1.0
 
     def test_schmidt_symmetry(self):
         """Purity of the transmitted mode equals that of the reflected mode

@@ -111,7 +111,7 @@ class TestRunSweep:
         req = SweepRequest(observable="linear_entropy", q=1.0, k=0, theta=0.3,
                            output_path=tmp_path / "s.csv")
         _, rows = read_curve_csv(run_sweep(req))
-        assert len(rows) == 61
+        assert len(rows) == 201
         assert all(float(row["value"]) >= 0.0 for row in rows)
 
     def test_unconverged_fixed_rows_are_flagged(self, tmp_path):
@@ -152,14 +152,14 @@ class TestRunSweep:
             small_sweep(tmp_path, steps=MAX_STEPS + 1)
 
     def test_request_takes_the_observable_default_grid(self, tmp_path):
-        """Unset grid fields resolve per observable; set ones are kept."""
+        """Unset grid fields resolve to the paper's range; set ones are kept."""
         req = SweepRequest(observable="linear_entropy", q=0.5, k=1, output_path=tmp_path / "s.csv")
-        assert (req.alpha_min, req.alpha_max, req.steps) == (0.0, 3.0, 61)
+        assert (req.alpha_min, req.alpha_max, req.steps) == (0.0, 5.0, 201)
         req = SweepRequest(observable="mandel_q", q=0.5, k=1, output_path=tmp_path / "q.csv")
         assert (req.alpha_min, req.alpha_max, req.steps) == (0.0, 5.0, 201)
         req = SweepRequest(observable="linear_entropy", q=0.5, k=1, output_path=tmp_path / "s.csv",
                            alpha_max=1.0)
-        assert (req.alpha_min, req.alpha_max, req.steps) == (0.0, 1.0, 61)
+        assert (req.alpha_min, req.alpha_max, req.steps) == (0.0, 1.0, 201)
 
 
 class TestPresets:
@@ -327,8 +327,7 @@ class TestCliExitCodes:
         assert proc.returncode == 0, proc.stderr
 
     def test_default_grids_per_observable(self, tmp_path):
-        """Unset flags fall back to 201 points on [0,5] for Q and 61 points
-        on [0,3] for S."""
+        """Unset flags fall back to 201 points on [0,5] for both Q and S."""
         out_q = tmp_path / "q.csv"
         assert main(["sweep", "--observable", "mandel_q", "--q", "0.5", "--k", "1",
                      "--out", str(out_q)]) == 0
@@ -340,5 +339,5 @@ class TestCliExitCodes:
         assert main(["sweep", "--observable", "linear_entropy", "--q", "0.5", "--k", "1",
                      "--out", str(out_s)]) == 0
         _, rows = read_curve_csv(out_s)
-        assert len(rows) == 61
-        assert (rows[0]["alpha"], rows[-1]["alpha"]) == ("0.0", "3.0")
+        assert len(rows) == 201
+        assert (rows[0]["alpha"], rows[-1]["alpha"]) == ("0.0", "5.0")
