@@ -14,12 +14,10 @@ from .entangle import (
     split,
 )
 from .errors import (
-    DegenerateAmplitude,
     DimensionTooLarge,
     FockSeriesError,
     HardCapExceeded,
     InvalidParameter,
-    InvalidTheta,
     UnnormalizedInput,
 )
 from .series import (
@@ -35,7 +33,6 @@ from .series import (
     photon_distribution,
     photon_statistics,
     truncate,
-    weight_ratio,
 )
 from .states import StateSpec, penson_solomon_state
 from .sweep import (
@@ -53,14 +50,12 @@ __all__ = [
     "BeamSplitterSetting",
     "DEFAULT_HARD_CAP",
     "DEFAULT_REL_TOL",
-    "DegenerateAmplitude",
     "DimensionTooLarge",
     "EntanglementResult",
     "FixedTruncation",
     "FockSeriesError",
     "HardCapExceeded",
     "InvalidParameter",
-    "InvalidTheta",
     "JointAmplitudes",
     "OBSERVABLES",
     "PRESETS",
@@ -82,5 +77,4 @@ __all__ = [
     "run_sweep",
     "split",
     "truncate",
-    "weight_ratio",
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionTooLarge, InvalidParameter, InvalidTheta, UnnormalizedInput
+from .errors import DimensionTooLarge, InvalidParameter, UnnormalizedInput
 from .series import TruncatedSeries, _ln_factorials, _point, normalization_log
 from .states import StateSpec
 
@@ -46,7 +46,7 @@ class BeamSplitterSetting:
     def __post_init__(self) -> None:
         th = float(self.theta)
         if not math.isfinite(th) or not (0.0 < th <= math.pi / 2.0):
-            raise InvalidTheta(f"theta must lie in (0, pi/2], got {self.theta}")
+            raise InvalidParameter(f"theta must lie in (0, pi/2], got {self.theta}")
         object.__setattr__(self, "theta", th)
 
     @property
@@ -66,18 +66,15 @@ class JointAmplitudes:
     photons; rows/columns run over 0..D-1 with D = k + n_max + 1, and every
     entry with j + l < k (the input carries at least k photons) or
     j + l >= D (beyond the retained series) is exactly zero.  The splitter is
-    unitary, so the squared entries sum to 1 up to the source series' tail
-    bound and a rounding floor of eps times ``log_scale``, the largest
-    magnitude among the log terms summed into any amplitude.  ``spec`` is
-    the source state, named in errors.
+    unitary, so the squared entries sum to 1 within ``norm_tol``: ten times
+    the source series' tail bound plus a rounding floor of 16 eps times the
+    largest magnitude among the log terms summed into any amplitude (at
+    least 1).  ``spec`` is the source state, named in errors.
     """
 
     matrix: np.ndarray
-    theta: float
-    source_tail_bound: float
-    converged: bool
-    log_scale: float = 0.0
-    spec: StateSpec | None = None
+    norm_tol: float
+    spec: StateSpec
 
 
 @dataclass(frozen=True)
@@ -100,10 +97,11 @@ def split(series: TruncatedSeries,
     ln m! and of ln c_m, the latter padded with -inf off k <= m < D, so
     those cells come out exactly 0.0.  theta in (0, pi/2] keeps t and r
     positive (cos(pi/2) is 6.1e-17 in floating point), so both logs are
-    finite.
+    finite.  ``norm_tol`` is fixed here, from the series' tail bound and the
+    largest log term, for reduced_purity's unit-norm check.
     """
     if not isinstance(setting, BeamSplitterSetting):
-        raise InvalidTheta("setting must be a BeamSplitterSetting")
+        raise InvalidParameter("setting must be a BeamSplitterSetting")
     if not series.converged and not allow_unconverged:
         raise InvalidParameter(
             "series is not converged; pass allow_unconverged=True to propagate it anyway")
@@ -134,9 +132,8 @@ def split(series: TruncatedSeries,
     matrix += idx * ln_r
     np.exp(matrix, out=matrix)
     log_scale = max(abs(ln_n), float(lg[dim - 1]), (dim - 1) * abs(ln_t), (dim - 1) * abs(ln_r))
-    return JointAmplitudes(matrix=matrix, theta=setting.theta,
-                           source_tail_bound=series.tail_bound_rel,
-                           converged=series.converged, log_scale=log_scale,
+    floor = _ROUNDING_ULPS * np.finfo(np.float64).eps * max(1.0, log_scale)
+    return JointAmplitudes(matrix=matrix, norm_tol=10.0 * series.tail_bound_rel + floor,
                            spec=series.spec)
 
 
@@ -150,11 +147,11 @@ def _mass_window(mass: np.ndarray) -> tuple[int, int]:
 def reduced_purity(amps: JointAmplitudes) -> float:
     """Tr(rho_a^2) = ||A A^T||_F^2 for rho_a(j, j') = sum_l A(j, l) A(j', l).
 
-    The unit norm is checked on the whole matrix: the row masses
-    sum_l A(j, l)^2 sum to the squared norm.  The purity is then taken on
-    the box A[r0:r1, c0:c1] left after dropping, at each end of the rows and
-    of the columns, the longest run of squared mass at most 1e-30.  For a
-    unit-norm A, dropping rows or columns of squared mass delta changes the
+    The unit norm is checked on the whole matrix, to within the
+    ``amps.norm_tol`` that split set: the row masses sum_l A(j, l)^2 sum to
+    the squared norm.  The purity is then taken on the box A[r0:r1, c0:c1]
+    left after dropping, at each end of the rows and of the columns, the
+    longest run of squared mass at most 1e-30.  For a unit-norm A, dropping rows or columns of squared mass delta changes the
     purity by at most 2 delta + delta^2 (Cauchy-Schwarz), so |dP| <= about
     8e-30, far below one ulp.  The symmetric Gram matrix of the box's
     shorter side W is summed in blocks of 32 rows against the rows from
@@ -163,12 +160,9 @@ def reduced_purity(amps: JointAmplitudes) -> float:
     a = amps.matrix
     row_mass = np.einsum("ij,ij->i", a, a)
     norm = float(row_mass.sum())
-    floor = _ROUNDING_ULPS * np.finfo(np.float64).eps * max(1.0, amps.log_scale)
-    tol = 10.0 * amps.source_tail_bound + floor
-    if not math.isfinite(norm) or abs(norm - 1.0) > tol:
-        where = f"{_point(amps.spec)}: " if amps.spec is not None else ""
-        raise UnnormalizedInput(
-            f"{where}joint amplitudes have squared norm {norm!r}, beyond 1 +/- {tol:g}")
+    if not math.isfinite(norm) or abs(norm - 1.0) > amps.norm_tol:
+        raise UnnormalizedInput(f"{_point(amps.spec)}: joint amplitudes have squared norm "
+                                f"{norm!r}, beyond 1 +/- {amps.norm_tol:g}")
     r0, r1 = _mass_window(row_mass)
     c0, c1 = _mass_window(np.einsum("ij,ij->j", a, a))
     box = a[r0:r1, c0:c1]
@@ -196,4 +190,4 @@ def linear_entropy(series: TruncatedSeries,
     return EntanglementResult(purity=purity,
                               linear_entropy=max(1.0 - purity, 0.0),
                               theta=setting.theta,
-                              converged=amps.converged)
+                              converged=series.converged)

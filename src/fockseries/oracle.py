@@ -38,11 +38,11 @@ class PrecisionConfig:
             raise InvalidParameter(f"mantissa_bits must be an integer >= 128, got {self.mantissa_bits!r}")
 
 
-def _series_terms(spec: StateSpec, cfg: PrecisionConfig) -> tuple[list, mp.mpf, float]:
-    """Weights w_0..w_nmax and their sum, by exact recurrence at working precision.
+def _series_terms(spec: StateSpec) -> tuple[list, mp.mpf, float]:
+    """Weights w_0..w_nmax and their sum, by exact recurrence at the working
+    precision the caller holds open with mp.workprec.
 
-    Returns (weights, total, tail_bound_rel); the caller is responsible for
-    holding mp.workprec open if it needs further arithmetic on the values.
+    Returns (weights, total, tail_bound_rel).
     """
     q = mp.mpf(spec.q)
     a2 = mp.mpf(spec.alpha_abs) ** 2
@@ -78,7 +78,7 @@ def oracle_statistics(spec: StateSpec,
     None for the vacuum, whose mean photon number is 0.
     """
     with mp.workprec(cfg.mantissa_bits):
-        weights, total, tail = _series_terms(spec, cfg)
+        weights, total, tail = _series_terms(spec)
         k = spec.k
         s1 = mp.fsum(w * (n + k) for n, w in enumerate(weights))
         s2 = mp.fsum(w * (n + k) ** 2 for n, w in enumerate(weights))
@@ -94,7 +94,7 @@ def oracle_entropy(spec: StateSpec,
                    cfg: PrecisionConfig = PrecisionConfig()) -> EntanglementResult:
     """Linear entropy by the same splitter expansion, in extended precision."""
     with mp.workprec(cfg.mantissa_bits):
-        weights, total, tail = _series_terms(spec, cfg)
+        weights, total, tail = _series_terms(spec)
         k = spec.k
         dim = len(weights) + k
         if dim > ORACLE_DIM_CAP:
@@ -130,5 +130,5 @@ def oracle_entropy(spec: StateSpec,
 # bench/run.py's oracle observer counts terms through this; keep the signature
 def _oracle_terms(spec: StateSpec, cfg: PrecisionConfig) -> tuple[int, float]:
     with mp.workprec(cfg.mantissa_bits):
-        weights, _, tail = _series_terms(spec, cfg)
+        weights, _, tail = _series_terms(spec)
     return len(weights) - 1, tail

@@ -28,11 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateAmplitude,
-    HardCapExceeded,
-    InvalidParameter,
-)
+from .errors import HardCapExceeded, InvalidParameter
 from .states import DEFAULT_HARD_CAP, StateSpec
 
 DEFAULT_REL_TOL = 1e-14
@@ -105,12 +101,6 @@ class PhotonStatistics:
     converged: bool
 
 
-def _index(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise InvalidParameter(f"n must be a nonnegative integer, got {n!r}")
-    return int(n)
-
-
 def _build_ln_factorials(size: int) -> np.ndarray:
     """ln m! for m < size as cephes lgam(m + 1) computes it: the log of the
     exact product m! below m = 12, Stirling's series in x = m + 1 above,
@@ -177,9 +167,11 @@ def _ln_w_head(count: int, k: int, ln_a: float, ln_inv_q: float) -> np.ndarray:
 def log_weight(spec: StateSpec, n: int) -> float:
     """ln w_n of the normalization series, via log-gamma and the closed-form
     deformed factorial (never by repeated multiplication)."""
-    n = _index(n)
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+        raise InvalidParameter(f"n must be a nonnegative integer, got {n!r}")
+    n = int(n)
     if spec.alpha_abs == 0.0 and n > 0:
-        raise DegenerateAmplitude(
+        raise InvalidParameter(
             "alpha_abs = 0: w_n vanishes for every n > 0; only n = 0 has a finite log-weight")
     # the |alpha| term is exactly 0 at n = 0, so any finite ln|alpha| serves
     ln_a = math.log(spec.alpha_abs) if spec.alpha_abs > 0.0 else 0.0
@@ -187,12 +179,9 @@ def log_weight(spec: StateSpec, n: int) -> float:
     return _ln_w(n, k, ln_a, math.log(1.0 / spec.q), math.lgamma(n + k + 1), math.lgamma(n + 1))
 
 
-def weight_ratio(spec: StateSpec, n: int) -> float:
-    """Exact successive-term ratio w_{n+1}/w_n = |alpha|^2 q^(-2k) (n+k+1)/(n+1)^2."""
-    return _ratio(_ratio_constant(spec), spec.k, _index(n))
-
-
 def _ratio(c: float, k: int, n: int) -> float:
+    """Exact successive-term ratio w_{n+1}/w_n = c (n+k+1)/(n+1)^2, where
+    c = |alpha|^2 q^(-2k) is _ratio_constant(spec)."""
     return c * (n + k + 1) / ((n + 1) * (n + 1))
 
 
@@ -211,11 +200,9 @@ def _tail_bound(lw_last: float, m: float, r: float, scaled_sum: float) -> float:
 
 def _first_subunit_ratio_index(c: float, k: int) -> int:
     """Smallest n with _ratio(c, k, n) < 1 (0 if already below at n=0)."""
-    # (n+1)^2 = c (n+k+1) -> crossing near the positive quadratic root
-    disc = (c - 2.0) ** 2 - 4.0 * (1.0 - c * (k + 1))
-    n = 0 if disc < 0.0 else max(0, int((c - 2.0 + math.sqrt(disc)) / 2.0))
-    while n > 0 and _ratio(c, k, n - 1) < 1.0:
-        n -= 1
+    # (n+1)^2 = c (n+k+1) crosses at n = (c - 2 + sqrt(c^2 + 4ck))/2, whose
+    # floor never passes the first subunit index, so the search only steps up
+    n = max(0, int((c - 2.0 + math.sqrt(c * (c + 4.0 * k))) / 2.0))
     while _ratio(c, k, n) >= 1.0:
         n += 1
     return n

@@ -30,7 +30,7 @@ OBSERVABLES = ("mandel_q", "linear_entropy")
 # both observables (the purity is O(W^3) in the side W of the joint matrix's
 # mass box, about 640 at D=1923)
 DEFAULT_GRID = (0.0, 5.0, 201)
-# the grid is materialized as a list of floats before any point is evaluated
+# the grid is materialized before any point is evaluated
 MAX_STEPS = 100_000
 
 
@@ -80,16 +80,15 @@ class SweepRequest:
         for name, default in zip(("alpha_min", "alpha_max", "steps"), DEFAULT_GRID):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
+        for name in ("alpha_min", "alpha_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameter(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (0.0 <= self.alpha_min <= self.alpha_max):
             raise InvalidParameter("need 0 <= alpha_min <= alpha_max")
         if not isinstance(self.steps, int) or not 2 <= self.steps <= MAX_STEPS:
             raise InvalidParameter(
                 f"steps must be an integer in [2, {MAX_STEPS}], got {self.steps!r}")
         BeamSplitterSetting(self.theta)  # validates
-
-
-def _grid(alpha_min: float, alpha_max: float, steps: int) -> list[float]:
-    return [float(a) for a in np.linspace(alpha_min, alpha_max, steps)]
 
 
 def _evaluate_point(req: SweepRequest, alpha: float) -> tuple:
@@ -109,11 +108,6 @@ def _evaluate_point(req: SweepRequest, alpha: float) -> tuple:
     return (alpha, value, series.n_max, series.tail_bound_rel, converged)
 
 
-def evaluate_sweep(req: SweepRequest) -> list[tuple]:
-    return [_evaluate_point(req, alpha)
-            for alpha in _grid(req.alpha_min, req.alpha_max, req.steps)]
-
-
 def _sweep_metadata(req: SweepRequest) -> dict:
     metadata = {
         "observable": req.observable,
@@ -129,7 +123,9 @@ def _sweep_metadata(req: SweepRequest) -> dict:
 
 def run_sweep(req: SweepRequest) -> Path:
     """Evaluate the grid and write the curve CSV; returns the written path."""
-    return write_curve_csv(req.output_path, _sweep_metadata(req), evaluate_sweep(req))
+    rows = [_evaluate_point(req, float(alpha))
+            for alpha in np.linspace(req.alpha_min, req.alpha_max, req.steps)]
+    return write_curve_csv(req.output_path, _sweep_metadata(req), rows)
 
 
 # --- figure presets ---------------------------------------------------------

@@ -3,14 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 from fockseries import (
     DEFAULT_HARD_CAP,
     AdaptiveTruncation,
-    DegenerateAmplitude,
     FixedTruncation,
     HardCapExceeded,
     InvalidParameter,
@@ -21,9 +20,15 @@ from fockseries import (
     photon_distribution,
     photon_statistics,
     truncate,
-    weight_ratio,
 )
-from fockseries.series import _LN_FACT_CAP, _ln_factorials, _logsumexp
+from fockseries.series import (
+    _LN_FACT_CAP,
+    _first_subunit_ratio_index,
+    _ln_factorials,
+    _logsumexp,
+    _ratio,
+    _ratio_constant,
+)
 
 # extended-precision oracle pins (criterion 4 runs the oracle live on its
 # grid; these two back the single-value examples)
@@ -33,6 +38,11 @@ LNN_Q05_K1_A05 = -0.8465735902799727    # ln N at q=0.5, k=1, |alpha|=0.5
 
 def adaptive_series(alpha, k, q, **kwargs):
     return truncate(penson_solomon_state(alpha, k, q), AdaptiveTruncation(**kwargs))
+
+
+def term_ratio(spec, n):
+    """w_{n+1}/w_n as the series evaluates it."""
+    return _ratio(_ratio_constant(spec), spec.k, n)
 
 
 class TestNonlinearityModel:
@@ -86,7 +96,7 @@ class TestLogWeight:
     def test_zero_amplitude_rejects_positive_n(self):
         spec = penson_solomon_state(0.0, 2, 0.5)
         assert math.isfinite(log_weight(spec, 0))
-        with pytest.raises(DegenerateAmplitude):
+        with pytest.raises(InvalidParameter):
             log_weight(spec, 1)
 
     def test_negative_n_rejected(self):
@@ -96,12 +106,12 @@ class TestLogWeight:
 
 class TestWeightRatio:
     def test_poisson_ratios(self):
-        assert weight_ratio(penson_solomon_state(1.0, 0, 1.0), 0) == 1.0
-        assert weight_ratio(penson_solomon_state(2.0, 0, 1.0), 3) == 1.0
+        assert term_ratio(penson_solomon_state(1.0, 0, 1.0), 0) == 1.0
+        assert term_ratio(penson_solomon_state(2.0, 0, 1.0), 3) == 1.0
 
     def test_deformed_plugin_value(self):
         """25 * 0.5^(-6) * 4 = 6400 at q=0.5, k=3, |alpha|=5, n=0."""
-        assert weight_ratio(penson_solomon_state(5.0, 3, 0.5), 0) == 6400.0
+        assert term_ratio(penson_solomon_state(5.0, 3, 0.5), 0) == 6400.0
 
     def test_consistency_with_log_weights_on_random_grid(self):
         """exp(ln w_{n+1} - ln w_n) must equal the exact ratio to 1e-10."""
@@ -113,15 +123,44 @@ class TestWeightRatio:
             n = int(rng.integers(0, 60))
             spec = penson_solomon_state(alpha, k, q)
             via_logs = math.exp(log_weight(spec, n + 1) - log_weight(spec, n))
-            exact = weight_ratio(spec, n)
+            exact = term_ratio(spec, n)
             assert abs(via_logs - exact) <= 1e-10 * exact
 
     def test_strictly_decreasing_and_vanishing(self):
         """The ratio falls like c/n, so the series is entire."""
         spec = penson_solomon_state(2.5, 4, 0.6)
-        ratios = [weight_ratio(spec, n) for n in range(400)]
+        ratios = [term_ratio(spec, n) for n in range(400)]
         assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
-        assert weight_ratio(spec, 50_000) < 0.01
+        assert term_ratio(spec, 50_000) < 0.01
+
+
+def _ulps_away(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+    return x
+
+
+ks = st.integers(0, DEFAULT_HARD_CAP)
+# c log-uniform from subnormal up to the cap's limit at k = 0, (N+1)^2/(N+1)
+log_uniform_cs = st.tuples(
+    st.floats(math.log(1e-320), math.log(DEFAULT_HARD_CAP + 1)).map(math.exp), ks)
+# c = (N+1)^2/(N+k+1) puts the crossing on the integer N; a few ulps either way
+crossing_cs = st.tuples(st.integers(0, DEFAULT_HARD_CAP - 1), ks, st.integers(-4, 4)).map(
+    lambda p: (_ulps_away((p[0] + 1) ** 2 / (p[0] + p[1] + 1), p[2]), p[1]))
+
+
+class TestPeakSearch:
+    """The first n with term ratio below 1 splits the weights between the
+    ln m! table and math.lgamma, so it fixes output bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(log_uniform_cs, crossing_cs))
+    def test_first_subunit_index_against_brute_force(self, point):
+        c, k = point
+        assume(_ratio(c, k, DEFAULT_HARD_CAP) < 1.0)  # what the adaptive path accepts
+        n = _first_subunit_ratio_index(c, k)
+        assert _ratio(c, k, n) < 1.0
+        assert n == 0 or _ratio(c, k, n - 1) >= 1.0
 
 
 class TestTruncate:

@@ -209,6 +209,9 @@ class TestPresets:
         with pytest.raises(InvalidParameter):
             run_preset("fig2", out_dir, alpha_min=3.0, alpha_max=1.0)
         assert not out_dir.exists()
+        with pytest.raises(InvalidParameter, match="alpha_max must be finite, got inf"):
+            run_preset("fig2", out_dir, steps=3, alpha_max=math.inf)
+        assert not out_dir.exists()
 
 
 class TestPlotScript:
@@ -255,10 +258,12 @@ class TestCliExitCodes:
         ["--steps", "1000000000000"],
         ["--k", "2000001"],
         ["--k", "1" + "0" * 160],
+        ["--alpha-max", "inf", "--steps", "3"],
     ])
     def test_out_of_range_inputs_exit_2(self, tmp_path, args):
-        """A q whose reciprocal overflows, and the n_max, steps and k caps,
-        are rejected before any weight or grid is allocated."""
+        """A q whose reciprocal overflows, the n_max, steps and k caps, and a
+        non-finite grid bound are rejected before any weight or grid is
+        allocated."""
         out = tmp_path / "x.csv"
         assert main(["sweep", "--observable", "mandel_q", *args, "--out", str(out)]) == 2
         assert not out.exists()
