@@ -18,12 +18,13 @@ Successive-term ratios are available exactly (no log round-trip) as
 
 which is strictly decreasing in n, so once it drops below 1 the neglected
 tail is bounded by the geometric sum next-term/(1 - ratio).  Adaptive
-truncation stops when that certified bound falls below the requested
-relative tolerance.
+truncation stops once that bound is below the requested tolerance, taking
+the terms past the peak in chunks, bit for bit as one at a time.
 """
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,16 +146,15 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 def _ln_w(n, k: int, ln_a: float, ln_inv_q: float, ln_fact_nk, ln_fact_n):
-    """ln w_n from ln (n+k)! and ln n!, for a Python int n or a float array.
+    """ln w_n from ln (n+k)! and ln n!, the same bits for an int n or an array.
 
-    Arrays (the adaptive bulk and fixed cutoffs, via _ln_w_head) slice both
-    factorials from the _ln_factorials table, which equals gammaln bit for
-    bit.  Python ints (the adaptive tail and log_weight) keep math.lgamma:
-    it differs from gammaln in the last bit on about half the integers, so
-    moving either range to the other source would change output bytes.
-    """
-    return (2.0 * n * ln_a + ln_fact_nk - 2.0 * ln_fact_n
-            + (k * (k - 1) + 2 * n * k) * ln_inv_q)
+    The adaptive bulk and fixed cutoffs (via _ln_w_head) slice both
+    factorials from the _ln_factorials table, equal to gammaln bit for bit.
+    The adaptive tail and log_weight take math.lgamma, which differs from
+    gammaln in the last bit on about half the integers, so moving either
+    range to the other source would change output bytes."""
+    return (n * (2.0 * ln_a) + ln_fact_nk - 2.0 * ln_fact_n
+            + (k * (k - 1) + 2.0 * k * n) * ln_inv_q)
 
 
 def _ln_w_head(count: int, k: int, ln_a: float, ln_inv_q: float) -> np.ndarray:
@@ -179,23 +179,29 @@ def log_weight(spec: StateSpec, n: int) -> float:
     return _ln_w(n, k, ln_a, math.log(1.0 / spec.q), math.lgamma(n + k + 1), math.lgamma(n + 1))
 
 
-def _ratio(c: float, k: int, n: int) -> float:
+def _ratio(c: float, k: int, n):
     """Exact successive-term ratio w_{n+1}/w_n = c (n+k+1)/(n+1)^2, where
-    c = |alpha|^2 q^(-2k) is _ratio_constant(spec)."""
-    return c * (n + k + 1) / ((n + 1) * (n + 1))
+    c = |alpha|^2 q^(-2k) is _ratio_constant(spec), for an int n or an array."""
+    return c * (n + (k + 1.0)) / (n + 1.0) ** 2
 
 
 def _ratio_constant(spec: StateSpec) -> float:
-    # float ** raises instead of returning inf; callers test isfinite
+    # for |alpha| > 0: from logs where the direct form over- or underflows
+    # (float ** raises); inf only if c itself overflows.  Callers test isfinite.
     try:
-        return spec.alpha_abs ** 2 * spec.q ** (-2 * spec.k)
+        c = spec.alpha_abs ** 2 * spec.q ** (-2 * spec.k)
     except OverflowError:
-        return math.inf
+        c = math.inf
+    if 0.0 < c < math.inf:
+        return c
+    with suppress(OverflowError):
+        return math.exp(2.0 * math.log(spec.alpha_abs) + 2 * spec.k * math.log(1.0 / spec.q))
+    return math.inf
 
 
-def _tail_bound(lw_last: float, m: float, r: float, scaled_sum: float) -> float:
-    """Geometric bound w_next/(1-r) on the neglected tail over the retained sum."""
-    return math.exp(lw_last - m) * r / (1.0 - r) / scaled_sum
+def _tail_bound(term, r, scaled_sum):
+    """Geometric tail bound w_next/(1-r) over the retained sum, scaled alike."""
+    return term * r / (1.0 - r) / scaled_sum
 
 
 def _first_subunit_ratio_index(c: float, k: int) -> int:
@@ -256,23 +262,42 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
     m = float(bulk.max(initial=-math.inf))
     scaled_sum = float(np.exp(bulk - m).sum())
 
-    # Tail phase: one term at a time with the certified stopping test.
-    tail = []
-    n = n_peak
-    while n <= DEFAULT_HARD_CAP:
-        lw = _ln_w(n, k, ln_a, ln_inv_q, math.lgamma(n + k + 1), math.lgamma(n + 1))
-        if lw > m:
-            scaled_sum *= math.exp(m - lw)
-            m = lw
-        scaled_sum += math.exp(lw - m)
+    # Tail phase: all ratios from n_peak on are below 1, so the stop is the
+    # first bound <= rel_tol.  Chunks give one-term-at-a-time IEEE values:
+    # math.lgamma for ln n! and the ln (n+k)! it lacks, math.exp (not the
+    # table or np.exp), the scalar step through the last new maximum (it
+    # rescales) and a seeded cumsum.  The first chunk covers s z + z^2/6 past
+    # the peak (width s, Poisson-like skew, z^2 = 2 ln(1/rel_tol)); then x2.
+    tail, n0 = [bulk], n_peak
+    z2 = 2.0 * math.log(1.0 / policy.rel_tol)
+    width = 4 + int(math.sqrt(z2 / (2.0 / (n_peak + 1) - 1.0 / (n_peak + k + 1))) + z2 / 6.0)
+    while n0 <= DEFAULT_HARD_CAP:
+        w = min(width, DEFAULT_HARD_CAP + 1 - n0)
+        off, top = min(k, w), n0 + w + k + 1
+        lf = np.array([*map(math.lgamma, [*range(n0 + 1, top - k), *range(top - off, top)])])
+        ns = np.arange(n0, n0 + w, dtype=np.float64)
+        lw = _ln_w(ns, k, ln_a, ln_inv_q, lf[off:off + w], lf[:w])
+        r = _ratio(c, k, ns)
+        j = int(lw.argmax())
+        j = j + 1 if lw[j] > m else 0  # terms through the last new maximum
+        bounds = np.empty(w)
+        for i in range(j):
+            x, ri = lw.item(i), r.item(i)
+            if x > m:
+                scaled_sum *= math.exp(m - x)
+                m = x
+            e = math.exp(x - m)
+            scaled_sum += e
+            bounds[i] = _tail_bound(e, ri, scaled_sum)
+        es = np.array([scaled_sum, *map(math.exp, (lw[j:] - m).tolist())])
+        sums = es.cumsum()
+        bounds[j:] = _tail_bound(es[1:], r[j:], sums[1:])
+        i = int((bounds <= policy.rel_tol).argmax())
+        if bounds[i] <= policy.rel_tol:
+            return TruncatedSeries(spec=spec, log_weights=np.concatenate((*tail, lw[:i + 1])),
+                                   n_max=n0 + i, tail_bound_rel=float(bounds[i]), converged=True)
         tail.append(lw)
-        r = _ratio(c, k, n)
-        if r < 1.0:
-            bound = _tail_bound(lw, m, r, scaled_sum)
-            if bound <= policy.rel_tol:
-                return TruncatedSeries(spec=spec, log_weights=np.concatenate((bulk, tail)),
-                                       n_max=n, tail_bound_rel=bound, converged=True)
-        n += 1
+        scaled_sum, n0, width = float(sums[-1]), n0 + w, min(2 * width, _CHUNK)
     raise HardCapExceeded(
         f"{_point(spec)}: adaptive truncation passed hard_cap={DEFAULT_HARD_CAP} "
         f"without certifying rel_tol={policy.rel_tol}")
@@ -287,7 +312,7 @@ def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,
         return TruncatedSeries(spec=spec, log_weights=lws, n_max=policy.n_max,
                                tail_bound_rel=math.inf, converged=False)
     m = float(lws.max())
-    bound = _tail_bound(float(lws[-1]), m, r, float(np.exp(lws - m).sum()))
+    bound = _tail_bound(math.exp(float(lws[-1]) - m), r, float(np.exp(lws - m).sum()))
     return TruncatedSeries(spec=spec, log_weights=lws, n_max=policy.n_max,
                            tail_bound_rel=bound, converged=bound <= DEFAULT_REL_TOL)
 

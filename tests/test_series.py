@@ -23,9 +23,11 @@ from fockseries import (
 )
 from fockseries.series import (
     _LN_FACT_CAP,
+    TruncatedSeries,
     _first_subunit_ratio_index,
     _ln_factorials,
     _logsumexp,
+    _point,
     _ratio,
     _ratio_constant,
 )
@@ -126,6 +128,13 @@ class TestWeightRatio:
             exact = term_ratio(spec, n)
             assert abs(via_logs - exact) <= 1e-10 * exact
 
+    def test_ratio_constant_in_logs_past_double_range(self):
+        """q^(-2k) overflows or |alpha|^2 underflows where c is a double."""
+        assert abs(term_ratio(penson_solomon_state(5e-301, 1, 1e-300), 0) - 0.5) < 1e-13
+        assert term_ratio(penson_solomon_state(1e-200, 1, 1e-100), 0) > 0.0
+        assert math.isinf(_ratio_constant(penson_solomon_state(1e200, 0, 1.0)))
+        assert math.isinf(_ratio_constant(penson_solomon_state(1.0, 2, 1e-200)))
+
     def test_strictly_decreasing_and_vanishing(self):
         """The ratio falls like c/n, so the series is entire."""
         spec = penson_solomon_state(2.5, 4, 0.6)
@@ -140,13 +149,18 @@ def _ulps_away(x, ulps):
     return x
 
 
+def log_uniform_cs(ks):
+    """c log-uniform from subnormal up to the cap's limit at k = 0, (N+1)^2/(N+1)."""
+    return st.tuples(st.floats(math.log(1e-320), math.log(DEFAULT_HARD_CAP + 1)).map(math.exp), ks)
+
+
+def crossing_cs(ks):
+    """c = (N+1)^2/(N+k+1) puts the crossing on the integer N; a few ulps either way."""
+    return st.tuples(st.integers(0, DEFAULT_HARD_CAP - 1), ks, st.integers(-4, 4)).map(
+        lambda p: (_ulps_away((p[0] + 1) ** 2 / (p[0] + p[1] + 1), p[2]), p[1]))
+
+
 ks = st.integers(0, DEFAULT_HARD_CAP)
-# c log-uniform from subnormal up to the cap's limit at k = 0, (N+1)^2/(N+1)
-log_uniform_cs = st.tuples(
-    st.floats(math.log(1e-320), math.log(DEFAULT_HARD_CAP + 1)).map(math.exp), ks)
-# c = (N+1)^2/(N+k+1) puts the crossing on the integer N; a few ulps either way
-crossing_cs = st.tuples(st.integers(0, DEFAULT_HARD_CAP - 1), ks, st.integers(-4, 4)).map(
-    lambda p: (_ulps_away((p[0] + 1) ** 2 / (p[0] + p[1] + 1), p[2]), p[1]))
 
 
 class TestPeakSearch:
@@ -154,13 +168,95 @@ class TestPeakSearch:
     ln m! table and math.lgamma, so it fixes output bytes."""
 
     @settings(max_examples=400, deadline=None)
-    @given(st.one_of(log_uniform_cs, crossing_cs))
+    @given(st.one_of(log_uniform_cs(ks), crossing_cs(ks)))
     def test_first_subunit_index_against_brute_force(self, point):
         c, k = point
         assume(_ratio(c, k, DEFAULT_HARD_CAP) < 1.0)  # what the adaptive path accepts
         n = _first_subunit_ratio_index(c, k)
         assert _ratio(c, k, n) < 1.0
         assert n == 0 or _ratio(c, k, n - 1) >= 1.0
+
+
+def reference_truncate_adaptive(spec, policy):
+    """truncate's adaptive path with its tail one Python iteration per term,
+    and the weight, ratio and bound formulas written out in their original
+    operation order: the reference the chunked tail must equal bit for bit."""
+    k = spec.k
+    ln_a, ln_inv_q, c = math.log(spec.alpha_abs), math.log(1.0 / spec.q), _ratio_constant(spec)
+    if not math.isfinite(c) or _ratio(c, k, DEFAULT_HARD_CAP) >= 1.0:
+        raise HardCapExceeded(
+            f"{_point(spec)}: term ratio stays >= 1 at hard_cap={DEFAULT_HARD_CAP}; "
+            "the series peak is beyond desk scale")
+    n_peak = _first_subunit_ratio_index(c, k)
+    lf, ns = _ln_factorials(k + n_peak), np.arange(n_peak, dtype=np.float64)
+    bulk = (2.0 * ns * ln_a + lf[k:k + n_peak] - 2.0 * lf[:n_peak]
+            + (k * (k - 1) + 2 * ns * k) * ln_inv_q)
+    m = float(bulk.max(initial=-math.inf))
+    scaled_sum = float(np.exp(bulk - m).sum())
+
+    # Tail phase: one term at a time with the certified stopping test.
+    tail = []
+    n = n_peak
+    while n <= DEFAULT_HARD_CAP:
+        lw = (2.0 * n * ln_a + math.lgamma(n + k + 1) - 2.0 * math.lgamma(n + 1)
+              + (k * (k - 1) + 2 * n * k) * ln_inv_q)
+        if lw > m:
+            scaled_sum *= math.exp(m - lw)
+            m = lw
+        scaled_sum += math.exp(lw - m)
+        tail.append(lw)
+        r = c * (n + k + 1) / ((n + 1) * (n + 1))
+        if r < 1.0:
+            bound = math.exp(lw - m) * r / (1.0 - r) / scaled_sum
+            if bound <= policy.rel_tol:
+                return TruncatedSeries(spec=spec, log_weights=np.concatenate((bulk, tail)),
+                                       n_max=n, tail_bound_rel=bound, converged=True)
+        n += 1
+    raise HardCapExceeded(
+        f"{_point(spec)}: adaptive truncation passed hard_cap={DEFAULT_HARD_CAP} "
+        f"without certifying rel_tol={policy.rel_tol}")
+
+
+def assert_same_truncation(spec, policy):
+    """truncate and the reference give the same bytes, or the same error."""
+    try:
+        ref = reference_truncate_adaptive(spec, policy)
+    except HardCapExceeded as exc:
+        with pytest.raises(HardCapExceeded) as got:
+            truncate(spec, policy)
+        assert str(got.value) == str(exc)
+        return
+    got = truncate(spec, policy)
+    assert got.log_weights.tobytes() == ref.log_weights.tobytes()
+    assert got.n_max == ref.n_max
+    assert type(got.tail_bound_rel) is float and same_bits(got.tail_bound_rel, ref.tail_bound_rel)
+    assert got.converged is ref.converged is True
+
+
+class TestChunkedTail:
+    """The adaptive tail runs in numpy chunks that must reproduce the
+    term-at-a-time loop's log-weights, stop, bound and errors exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(log_uniform_cs(st.integers(0, 200)), crossing_cs(st.integers(0, 200))),
+           st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.3, 1.0)),
+           st.sampled_from([1e-30, 1e-20, 1e-14, 1e-8, 0.5]))
+    def test_matches_term_at_a_time_loop(self, point, q, rel_tol):
+        c, k = point
+        # q = 1 or 1/2 scales sqrt(c) exactly, so a crossing keeps its ulps
+        alpha = math.sqrt(c) * q ** k
+        assume(alpha > 0.0)
+        assert_same_truncation(penson_solomon_state(alpha, k, q), AdaptiveTruncation(rel_tol))
+
+    def test_rescale_past_the_peak(self):
+        """At c = (N+1)^2/(N+k+1), N = 1003, k = 3, the term ratio at N rounds
+        below 1, yet ln w_{N+1} > ln w_N in float: the tail's second term is
+        a new maximum too, so the loop rescales the sum at N and at N + 1."""
+        spec = penson_solomon_state(31.638725281495372, 3, 1.0)
+        assert _first_subunit_ratio_index(_ratio_constant(spec), 3) == 1003
+        lws = reference_truncate_adaptive(spec, AdaptiveTruncation()).log_weights
+        assert lws[1004] > lws[1003] > lws[:1003].max()
+        assert_same_truncation(spec, AdaptiveTruncation())
 
 
 class TestTruncate:
@@ -201,6 +297,12 @@ class TestTruncate:
             series = adaptive_series(3.0, 2, 0.7, rel_tol=tol)
             assert series.converged
             assert series.tail_bound_rel <= tol
+
+    def test_underflowing_ratio_constant_still_bounds_the_tail(self):
+        """|alpha|^2 = 1e-400 underflows, but c = 1e-200 and w_1/w_0 = 2c."""
+        series = adaptive_series(1e-200, 1, 1e-100)
+        assert series.n_max == 0
+        assert 1e-200 < series.tail_bound_rel < 3e-200
 
     def test_hard_cap_raises(self):
         """Both raise paths at DEFAULT_HARD_CAP: a peak beyond the cap fails

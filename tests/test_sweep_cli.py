@@ -311,6 +311,18 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
+    def test_ratio_constant_from_logs_when_q_power_overflows(self, tmp_path):
+        """q^(-2k) = 1e600 overflows, but c = (|alpha|/q^k)^2 is 0.25 at the
+        middle point: the photon-added coherent state at |beta| = 0.5."""
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--observable", "mandel_q", "--q", "1e-300", "--k", "1",
+                     "--alpha-max", "1e-300", "--steps", "3", "--out", str(out)]) == 0
+        _, rows = read_curve_csv(out)
+        assert [r["converged"] for r in rows] == ["true"] * 3
+        assert float(rows[1]["alpha"]) == 5e-301
+        same = photon_statistics(truncate(penson_solomon_state(0.5, 1, 1.0), AdaptiveTruncation()))
+        assert abs(float(rows[1]["value"]) - same.mandel_q) < 1e-12
+
     def test_overflowing_ratio_fixed_rows_are_flagged(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main(["sweep", "--observable", "mandel_q", "--q", "1e-200", "--k", "2",
