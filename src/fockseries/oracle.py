@@ -1,30 +1,35 @@
-"""Independent extended-precision reference pipeline (mpmath).
+"""Independent extended-precision reference (mpmath), in closed form.
 
-Deliberately avoids the main pipeline's two approximation sources (log-gamma
-weights and log-sum-exp accumulation) by building the weights with the exact
-multiplicative recurrence
+The weights w_n ∝ x^n (n+k)!/(n!)^2, with x = |alpha|^2 q^(-2k), make every
+Penson-Solomon state the photon-added coherent state a†^k|beta> at beta^2 = x
+(Agarwal & Tara, Phys. Rev. A 43, 492 (1991)).  Both observables are then
+finite sums in k+1 dimensions: no Fock series is summed and nothing is
+truncated, so ``tail_bound_rel`` is 0.  With m the photon number:
 
-    w_0 = q^(-k(k-1)) k!,    w_{n+1} = w_n * |alpha|^2 q^(-2k) (n+k+1)/(n+1)^2
+- Q: N_j = <beta|a^p a†^p|beta> = p! L_p(-x) = sum_i C(p,i) p!/i! x^i at
+  p = k + j gives <m+1> = N_1/N_0 and <(m+1)(m+2)> = N_2/N_0.
+- S: the splitter maps a†^k|beta>|0> to sum_j u_j a†^j|t beta> b†^(k-j)|r beta>
+  with u_j = C(k,j) t^j r^(k-j).  The normal-ordered Gram matrices
+  G(g)_{jj'} = <g|a^j a†^j'|g> = sum_i i! C(j,i) C(j',i) g^(j+j'-2i) give
+  Phi = G(t beta) and X = G(r beta), the reduced state of mode a is
+  R_{jj'} = u_j u_j' X_{k-j',k-j} in the basis a†^j|t beta>, and
+  S = 1 - Tr((R Phi)^2) / Tr(R Phi)^2.
 
-in 256-bit (default) arithmetic and summing directly, so any disagreement
-with the double-precision modules localizes the bug.
+Every term is nonnegative and the factors e^(-x) cancel from each ratio.
+None of this shares a formula with the double-precision modules, so any
+disagreement with them localizes the bug.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
 
 from .entangle import BeamSplitterSetting, EntanglementResult
-from .errors import DimensionTooLarge, HardCapExceeded, InvalidParameter
+from .errors import HardCapExceeded, InvalidParameter
 from .series import PhotonStatistics, _point
 from .states import StateSpec
-
-ORACLE_DIM_CAP = 400  # extended-precision purity is O(D^3); larger D is not desk-scale
-_TERM_CAP = 5_000_000
-# summation stops once the next term drops below this fraction of the running
-# sum (and the ratio is below 1)
-TERM_FLOOR_REL = 1e-40
 
 
 @dataclass(frozen=True)
@@ -38,97 +43,81 @@ class PrecisionConfig:
             raise InvalidParameter(f"mantissa_bits must be an integer >= 128, got {self.mantissa_bits!r}")
 
 
-def _series_terms(spec: StateSpec) -> tuple[list, mp.mpf, float]:
-    """Weights w_0..w_nmax and their sum, by exact recurrence at the working
-    precision the caller holds open with mp.workprec.
+def _beta(spec: StateSpec) -> mp.mpf:
+    """beta = |alpha| q^(-k), from the exact binary values of |alpha| and q."""
+    return mp.mpf(spec.alpha_abs) * mp.mpf(spec.q) ** -spec.k
 
-    Returns (weights, total, tail_bound_rel).
-    """
-    q = mp.mpf(spec.q)
-    a2 = mp.mpf(spec.alpha_abs) ** 2
-    k = spec.k
-    w = q ** (-k * (k - 1)) * mp.factorial(k)
-    if spec.alpha_abs == 0.0:
-        return [w], w, 0.0
-    c = a2 * q ** (-2 * k)
-    floor = mp.mpf(TERM_FLOOR_REL)
-    weights = []
-    total = mp.mpf(0)
-    n = 0
-    while True:
-        weights.append(w)
-        total += w
-        ratio = c * (n + k + 1) / mp.mpf((n + 1) * (n + 1))
-        w_next = w * ratio
-        if ratio < 1 and w_next < floor * total:
-            tail = float(w_next / (1 - ratio) / total)
-            return weights, total, tail
-        w = w_next
-        n += 1
-        if n > _TERM_CAP:
-            raise HardCapExceeded(f"{_point(spec)}: oracle series passed {_TERM_CAP} terms")
+
+def _laguerre_norm(p: int, x: mp.mpf) -> mp.mpf:
+    """<beta|a^p a†^p|beta> e^x = p! L_p(-x) at x = beta^2."""
+    return mp.fsum(math.comb(p, i) * (math.factorial(p) // math.factorial(i)) * x ** i
+                   for i in range(p + 1))
+
+
+def _gram(g: mp.mpf, dim: int) -> mp.matrix:
+    """<g|a^j a†^j'|g> e^(g^2) for j, j' < dim at a real amplitude g, normal ordered."""
+    return mp.matrix([[mp.fsum(math.factorial(i) * math.comb(j, i) * math.comb(jp, i)
+                               * g ** (j + jp - 2 * i) for i in range(min(j, jp) + 1))
+                       for jp in range(dim)] for j in range(dim)])
 
 
 def oracle_statistics(spec: StateSpec,
                       cfg: PrecisionConfig = PrecisionConfig()) -> PhotonStatistics:
-    """Mean, variance, and Mandel Q by direct extended-precision summation.
+    """Mean, variance, and Mandel Q from the Laguerre ratios.
 
     The returned fields hold mpmath values (callers wanting float64 should
-    convert); at 256 bits the plain <n^2> - <n>^2 form is safe.  mandel_q is
-    None for the vacuum, whose mean photon number is 0.
+    convert).  mandel_q is None for the vacuum, whose mean photon number is 0.
     """
     with mp.workprec(cfg.mantissa_bits):
-        weights, total, tail = _series_terms(spec)
-        k = spec.k
-        s1 = mp.fsum(w * (n + k) for n, w in enumerate(weights))
-        s2 = mp.fsum(w * (n + k) ** 2 for n, w in enumerate(weights))
-        mean = s1 / total
-        variance = s2 / total - mean ** 2
+        x = _beta(spec) ** 2
+        n0, n1, n2 = (_laguerre_norm(spec.k + j, x) for j in range(3))
+        m1, m2 = n1 / n0, n2 / n0  # <m+1> and <(m+1)(m+2)> = <(m+1)^2> + <m+1>
+        mean = m1 - 1
+        variance = m2 - m1 - m1 ** 2
         mandel = None if mean == 0 else variance / mean - 1
     return PhotonStatistics(mean_n=mean, variance=variance, mandel_q=mandel,
-                            tail_bound_rel=tail, converged=True)
+                            tail_bound_rel=0.0, converged=True)
 
 
 def oracle_entropy(spec: StateSpec,
                    setting: BeamSplitterSetting = BeamSplitterSetting(),
                    cfg: PrecisionConfig = PrecisionConfig()) -> EntanglementResult:
-    """Linear entropy by the same splitter expansion, in extended precision."""
+    """Linear entropy of mode a after the splitter, from the two Gram matrices."""
     with mp.workprec(cfg.mantissa_bits):
-        weights, total, tail = _series_terms(spec)
-        k = spec.k
-        dim = len(weights) + k
-        if dim > ORACLE_DIM_CAP:
-            raise DimensionTooLarge(
-                f"{_point(spec)}: output dimension {dim} exceeds the oracle cap {ORACLE_DIM_CAP}")
-        amps = [mp.sqrt(w / total) for w in weights]  # c_m, m = n + k
+        k, beta = spec.k, _beta(spec)
         t = mp.cos(mp.mpf(setting.theta))
         r = mp.sin(mp.mpf(setting.theta))
-        t_pow = [mp.mpf(1)]
-        r_pow = [mp.mpf(1)]
-        for _ in range(dim - 1):
-            t_pow.append(t_pow[-1] * t)
-            r_pow.append(r_pow[-1] * r)
-        zero = mp.mpf(0)
-        rows = [[zero] * dim for _ in range(dim)]
-        for m in range(k, dim):
-            c_m = amps[m - k]
-            for j in range(m + 1):
-                rows[j][m - j] = c_m * mp.sqrt(mp.binomial(m, j)) * t_pow[j] * r_pow[m - j]
-        purity = mp.mpf(0)
-        for j in range(dim):
-            row_j = rows[j]
-            rho = mp.fdot(row_j, row_j)
-            purity += rho * rho
-            for jp in range(j + 1, dim):
-                rho = mp.fdot(row_j, rows[jp])
-                purity += 2 * rho * rho
+        u = [math.comb(k, j) * t ** j * r ** (k - j) for j in range(k + 1)]
+        phi, chi = _gram(t * beta, k + 1), _gram(r * beta, k + 1)
+        r_phi = mp.matrix([[u[j] * u[jp] * chi[k - jp, k - j] for jp in range(k + 1)]
+                           for j in range(k + 1)]) * phi
+        r_phi2 = r_phi * r_phi
+        norm = mp.fsum(r_phi[j, j] for j in range(k + 1))
+        purity = mp.fsum(r_phi2[j, j] for j in range(k + 1)) / norm ** 2
         entropy = 1 - purity
     return EntanglementResult(purity=purity, linear_entropy=entropy,
                               theta=setting.theta, converged=True)
 
 
-# bench/run.py's oracle observer counts terms through this; keep the signature
+_TERM_CAP = 5_000_000
+
+
+# bench/run.py's oracle observer counts terms through this; keep the signature.
+# It walks the weight recurrence w_{n+1} = w_n x (n+k+1)/(n+1)^2 to the index
+# where the next term falls below 1e-40 of the running sum, storing no weight.
 def _oracle_terms(spec: StateSpec, cfg: PrecisionConfig) -> tuple[int, float]:
+    if spec.alpha_abs == 0.0:
+        return 0, 0.0
     with mp.workprec(cfg.mantissa_bits):
-        weights, _, tail = _series_terms(spec)
-    return len(weights) - 1, tail
+        q, k = mp.mpf(spec.q), spec.k
+        w = q ** (-k * (k - 1)) * mp.factorial(k)
+        c = mp.mpf(spec.alpha_abs) ** 2 * q ** (-2 * k)
+        floor = mp.mpf(1e-40)
+        total = mp.mpf(0)
+        for n in range(_TERM_CAP + 1):
+            total += w
+            ratio = c * (n + k + 1) / mp.mpf((n + 1) * (n + 1))
+            w *= ratio
+            if ratio < 1 and w < floor * total:
+                return n, float(w / (1 - ratio) / total)
+    raise HardCapExceeded(f"{_point(spec)}: oracle series passed {_TERM_CAP} terms")

@@ -24,6 +24,7 @@ the terms past the peak in chunks, bit for bit as one at a time.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -187,12 +188,13 @@ def _ratio(c: float, k: int, n):
 
 def _ratio_constant(spec: StateSpec) -> float:
     # for |alpha| > 0: from logs where the direct form over- or underflows
-    # (float ** raises); inf only if c itself overflows.  Callers test isfinite.
+    # (float ** raises) or |alpha|^2 is subnormal, which would cost bits of c;
+    # inf only if c itself overflows.  Callers test isfinite.
     try:
         c = spec.alpha_abs ** 2 * spec.q ** (-2 * spec.k)
     except OverflowError:
         c = math.inf
-    if 0.0 < c < math.inf:
+    if 0.0 < c < math.inf and spec.alpha_abs ** 2 >= sys.float_info.min:
         return c
     with suppress(OverflowError):
         return math.exp(2.0 * math.log(spec.alpha_abs) + 2 * spec.k * math.log(1.0 / spec.q))

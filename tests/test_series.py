@@ -1,6 +1,7 @@
 """Series weights, certified truncation, and photon statistics."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -134,6 +135,12 @@ class TestWeightRatio:
         assert term_ratio(penson_solomon_state(1e-200, 1, 1e-100), 0) > 0.0
         assert math.isinf(_ratio_constant(penson_solomon_state(1e200, 0, 1.0)))
         assert math.isinf(_ratio_constant(penson_solomon_state(1.0, 2, 1e-200)))
+
+    def test_ratio_constant_from_logs_where_alpha_squared_is_subnormal(self):
+        """|alpha|^2 = 9e-324 rounds to 1e-323, which would put c 9.8% high."""
+        c = _ratio_constant(penson_solomon_state(3e-162, 1, 1e-100))
+        exact = mp.mpf(3e-162) ** 2 * mp.mpf(1e-100) ** -2
+        assert abs(c - exact) <= 1e-12 * exact
 
     def test_strictly_decreasing_and_vanishing(self):
         """The ratio falls like c/n, so the series is entire."""
