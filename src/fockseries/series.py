@@ -18,8 +18,9 @@ Successive-term ratios are available exactly (no log round-trip) as
 
 which is strictly decreasing in n, so once it drops below 1 the neglected
 tail is bounded by the geometric sum next-term/(1 - ratio).  Adaptive
-truncation stops once that bound is below the requested tolerance, taking
-the terms past the peak in chunks, bit for bit as one at a time.
+truncation stops once that bound is below the requested tolerance, keeping
+two terms at least, and takes the terms in numpy chunks, bit for bit as one at
+a time, with ln n! past the peak from a cached math.lgamma table.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ _STIRLING_3 = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
 _LN_FACT_CAP = 2 * DEFAULT_HARD_CAP + 2
 _ln_fact = np.empty(0)  # read-only; rebound when it grows, never written
 _CHUNK = 1 << 16
+_lgam = np.empty(0)  # math.lgamma(m + 1) for m < its size; read-only like _ln_fact
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,18 @@ def _ln_factorials(n: int) -> np.ndarray:
     return table[:n]
 
 
+def _lgamma_factorials(n: int) -> np.ndarray:
+    """ln m! for m < n <= _CHUNK (512 KB) as math.lgamma(m + 1) gives it: a
+    read-only view of one table shared by the process, doubling as it grows."""
+    global _lgam
+    if n > _lgam.size:
+        size = max(n, min(2 * _lgam.size, _CHUNK))
+        table = np.concatenate((_lgam, [*map(math.lgamma, range(_lgam.size + 1, size + 1))]))
+        table.flags.writeable = False
+        _lgam = table
+    return _lgam[:n]
+
+
 def _logsumexp(a: np.ndarray) -> float:
     """ln sum exp(a) of a finite 1-D array in the reference logsumexp's
     operation order: the maximal entries leave the sum as log(count)."""
@@ -149,20 +163,14 @@ def _logsumexp(a: np.ndarray) -> float:
 def _ln_w(n, k: int, ln_a: float, ln_inv_q: float, ln_fact_nk, ln_fact_n):
     """ln w_n from ln (n+k)! and ln n!, the same bits for an int n or an array.
 
-    The adaptive bulk and fixed cutoffs (via _ln_w_head) slice both
-    factorials from the _ln_factorials table, equal to gammaln bit for bit.
-    The adaptive tail and log_weight take math.lgamma, which differs from
-    gammaln in the last bit on about half the integers, so moving either
-    range to the other source would change output bytes."""
+    The adaptive bulk and fixed cutoffs slice both factorials from the
+    _ln_factorials table, equal to gammaln bit for bit.  The adaptive tail
+    (through the _lgamma_factorials table below _CHUNK) and log_weight take
+    math.lgamma, which differs from gammaln in the last bit on about half the
+    integers, so moving either range to the other source would change output
+    bytes."""
     return (n * (2.0 * ln_a) + ln_fact_nk - 2.0 * ln_fact_n
             + (k * (k - 1) + 2.0 * k * n) * ln_inv_q)
-
-
-def _ln_w_head(count: int, k: int, ln_a: float, ln_inv_q: float) -> np.ndarray:
-    """ln w_n for n < count, read from contiguous slices of the table."""
-    lf = _ln_factorials(k + count)
-    return _ln_w(np.arange(count, dtype=np.float64), k, ln_a, ln_inv_q,
-                 lf[k:k + count], lf[:count])
 
 
 def log_weight(spec: StateSpec, n: int) -> float:
@@ -258,28 +266,37 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
             "the series peak is beyond desk scale")
     n_peak = _first_subunit_ratio_index(c, k)
 
-    # Bulk phase: all n < n_peak have ratio >= 1, so the stopping test cannot
-    # pass there; evaluate them vectorized.
-    bulk = _ln_w_head(n_peak, k, ln_a, ln_inv_q)
-    m = float(bulk.max(initial=-math.inf))
-    scaled_sum = float(np.exp(bulk - m).sum())
-
-    # Tail phase: all ratios from n_peak on are below 1, so the stop is the
-    # first bound <= rel_tol.  Chunks give one-term-at-a-time IEEE values:
-    # math.lgamma for ln n! and the ln (n+k)! it lacks, math.exp (not the
-    # table or np.exp), the scalar step through the last new maximum (it
+    # Every n < n_peak has ratio >= 1, so no stop there: the first chunk weighs
+    # that bulk in its _ln_w pass (factorials from the ln m! table) and sums it
+    # vectorized.  From n_peak on every ratio is below 1, so the stop is the
+    # first bound <= rel_tol at n >= 1 (a lone term has no spread: it reads as
+    # the vacuum).  Chunks give one-term-at-a-time IEEE values: math.lgamma for the
+    # tail's ln n! and ln (n+k)! (the cached table below _CHUNK, a map past it),
+    # math.exp (not np.exp), the scalar step through the last new maximum (it
     # rescales) and a seeded cumsum.  The first chunk covers s z + z^2/6 past
     # the peak (width s, Poisson-like skew, z^2 = 2 ln(1/rel_tol)); then x2.
-    tail, n0 = [bulk], n_peak
+    tail, lo, n0, m, scaled_sum = [], 0, n_peak, -math.inf, 0.0
     z2 = 2.0 * math.log(1.0 / policy.rel_tol)
     width = 4 + int(math.sqrt(z2 / (2.0 / (n_peak + 1) - 1.0 / (n_peak + k + 1))) + z2 / 6.0)
     while n0 <= DEFAULT_HARD_CAP:
         w = min(width, DEFAULT_HARD_CAP + 1 - n0)
-        off, top = min(k, w), n0 + w + k + 1
-        lf = np.array([*map(math.lgamma, [*range(n0 + 1, top - k), *range(top - off, top)])])
-        ns = np.arange(n0, n0 + w, dtype=np.float64)
-        lw = _ln_w(ns, k, ln_a, ln_inv_q, lf[off:off + w], lf[:w])
-        r = _ratio(c, k, ns)
+        top = n0 + w + k
+        if top <= _CHUNK:
+            lt = _lgamma_factorials(top)
+            lf_nk, lf_n = lt[n0 + k:], lt[n0:n0 + w]
+        else:
+            off = min(k, w)
+            lf = np.array([*map(math.lgamma, [*range(n0 + 1, n0 + w + 1), *range(top + 1 - off, top + 1)])])
+            lf_nk, lf_n = lf[off:off + w], lf[:w]
+        if lo < n0:
+            lf = _ln_factorials(k + n_peak)
+            lf_nk, lf_n = np.concatenate((lf[k:], lf_nk)), np.concatenate((lf[:n_peak], lf_n))
+        ns = np.arange(lo, n0 + w, dtype=np.float64)
+        lws = _ln_w(ns, k, ln_a, ln_inv_q, lf_nk, lf_n)
+        if lo < n0:
+            m = float(lws[:n_peak].max())
+            scaled_sum = float(np.exp(lws[:n_peak] - m).sum())
+        lw, r = lws[n0 - lo:], _ratio(c, k, ns[n0 - lo:])
         j = int(lw.argmax())
         j = j + 1 if lw[j] > m else 0  # terms through the last new maximum
         bounds = np.empty(w)
@@ -294,12 +311,13 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
         es = np.array([scaled_sum, *map(math.exp, (lw[j:] - m).tolist())])
         sums = es.cumsum()
         bounds[j:] = _tail_bound(es[1:], r[j:], sums[1:])
-        i = int((bounds <= policy.rel_tol).argmax())
+        first = int(n0 == 0)
+        i = first + int((bounds[first:] <= policy.rel_tol).argmax())
         if bounds[i] <= policy.rel_tol:
-            return TruncatedSeries(spec=spec, log_weights=np.concatenate((*tail, lw[:i + 1])),
+            return TruncatedSeries(spec=spec, log_weights=np.concatenate((*tail, lws[:n0 - lo + i + 1])),
                                    n_max=n0 + i, tail_bound_rel=float(bounds[i]), converged=True)
-        tail.append(lw)
-        scaled_sum, n0, width = float(sums[-1]), n0 + w, min(2 * width, _CHUNK)
+        tail.append(lws)
+        scaled_sum, lo, n0, width = float(sums[-1]), n0 + w, n0 + w, min(2 * width, _CHUNK)
     raise HardCapExceeded(
         f"{_point(spec)}: adaptive truncation passed hard_cap={DEFAULT_HARD_CAP} "
         f"without certifying rel_tol={policy.rel_tol}")
@@ -307,8 +325,10 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
 
 def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,
                     ln_a: float, ln_inv_q: float, c: float) -> TruncatedSeries:
-    lws = _ln_w_head(policy.n_max + 1, spec.k, ln_a, ln_inv_q)
-    r = _ratio(c, spec.k, policy.n_max)
+    n, k = policy.n_max + 1, spec.k
+    lf = _ln_factorials(k + n)
+    lws = _ln_w(np.arange(n, dtype=np.float64), k, ln_a, ln_inv_q, lf[k:], lf[:n])
+    r = _ratio(c, k, policy.n_max)
     if r >= 1.0:
         # no geometric bound exists; the neglected tail may dominate
         return TruncatedSeries(spec=spec, log_weights=lws, n_max=policy.n_max,

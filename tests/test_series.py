@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
+import fockseries.series as series_module
 from fockseries import (
     DEFAULT_HARD_CAP,
     AdaptiveTruncation,
@@ -23,9 +24,11 @@ from fockseries import (
     truncate,
 )
 from fockseries.series import (
+    _CHUNK,
     _LN_FACT_CAP,
     TruncatedSeries,
     _first_subunit_ratio_index,
+    _lgamma_factorials,
     _ln_factorials,
     _logsumexp,
     _point,
@@ -187,7 +190,8 @@ class TestPeakSearch:
 def reference_truncate_adaptive(spec, policy):
     """truncate's adaptive path with its tail one Python iteration per term,
     and the weight, ratio and bound formulas written out in their original
-    operation order: the reference the chunked tail must equal bit for bit."""
+    operation order: the reference the chunked tail must equal bit for bit.
+    It keeps two terms at least, so that a lone w_0 never reads as the vacuum."""
     k = spec.k
     ln_a, ln_inv_q, c = math.log(spec.alpha_abs), math.log(1.0 / spec.q), _ratio_constant(spec)
     if not math.isfinite(c) or _ratio(c, k, DEFAULT_HARD_CAP) >= 1.0:
@@ -213,7 +217,7 @@ def reference_truncate_adaptive(spec, policy):
         scaled_sum += math.exp(lw - m)
         tail.append(lw)
         r = c * (n + k + 1) / ((n + 1) * (n + 1))
-        if r < 1.0:
+        if r < 1.0 and n >= 1:
             bound = math.exp(lw - m) * r / (1.0 - r) / scaled_sum
             if bound <= policy.rel_tol:
                 return TruncatedSeries(spec=spec, log_weights=np.concatenate((bulk, tail)),
@@ -265,6 +269,33 @@ class TestChunkedTail:
         assert lws[1004] > lws[1003] > lws[:1003].max()
         assert_same_truncation(spec, AdaptiveTruncation())
 
+    @pytest.mark.parametrize("alpha, k", [(1e-3, 100_000), (300.0, 0), (255.0, 0)])
+    def test_windows_past_the_lgamma_table_cap(self, alpha, k):
+        """ln (n+k)! past _CHUNK: from a large k, from a peak past the cap,
+        and from a peak below the cap whose tail runs past it."""
+        spec = penson_solomon_state(alpha, k, 1.0)
+        assert truncate(spec, AdaptiveTruncation()).n_max + k > _CHUNK
+        assert_same_truncation(spec, AdaptiveTruncation())
+        assert series_module._lgam.size <= _CHUNK
+
+
+class TestLgammaTable:
+    """The tail's ln n! table: math.lgamma's own bits, shared and read-only.
+    TestChunkedTail checks that windows past its cap never grow it."""
+
+    def test_matches_math_lgamma_bitwise(self):
+        table = _lgamma_factorials(_CHUNK)
+        assert table.size == _CHUNK == series_module._lgam.size
+        expected = np.array([math.lgamma(m + 1) for m in range(_CHUNK)])
+        assert table.tobytes() == expected.tobytes()
+
+    def test_read_only(self):
+        table = _lgamma_factorials(20)
+        with pytest.raises(ValueError):
+            table[3] = 0.0
+        with pytest.raises(ValueError):
+            series_module._lgam[3] = 0.0
+
 
 class TestTruncate:
     def test_zero_amplitude_single_term(self):
@@ -306,10 +337,11 @@ class TestTruncate:
             assert series.tail_bound_rel <= tol
 
     def test_underflowing_ratio_constant_still_bounds_the_tail(self):
-        """|alpha|^2 = 1e-400 underflows, but c = 1e-200 and w_1/w_0 = 2c."""
-        series = adaptive_series(1e-200, 1, 1e-100)
-        assert series.n_max == 0
-        assert 1e-200 < series.tail_bound_rel < 3e-200
+        """|alpha|^2 = 1e-400 underflows, but c = 1e-100: two terms are kept,
+        and past w_1/w_0 = 2c the bound is 2c * r_1 = 2c * 3c/4."""
+        series = adaptive_series(1e-200, 1, 1e-150)
+        assert series.n_max == 1
+        assert 1.49e-200 < series.tail_bound_rel < 1.51e-200
 
     def test_hard_cap_raises(self):
         """Both raise paths at DEFAULT_HARD_CAP: a peak beyond the cap fails
@@ -340,6 +372,32 @@ class TestTruncate:
                               for n in range(series.n_max + 1, series.n_max + 501)])
             gained = math.exp(logsumexp(extra) - logsumexp(series.log_weights))
             assert gained < series.tail_bound_rel
+
+
+class TestToleranceProperties:
+    """Over (q, k, |alpha|, rel_tol): a tighter tolerance only appends terms,
+    every certificate meets its tolerance, and Q never passes the Fock floor."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.3, 1.0), st.integers(0, 8),
+           st.one_of(st.just(0.0), st.floats(1e-9, 5.0)),
+           st.lists(st.sampled_from([0.5, 1e-4, 1e-8, 1e-14, 1e-20, 1e-30]),
+                    min_size=2, max_size=2, unique=True))
+    def test_tighter_tolerance_extends_the_series(self, q, k, alpha, tols):
+        spec = penson_solomon_state(alpha, k, q)
+        assume(alpha == 0.0 or _ratio_constant(spec) <= 1e4)  # peaks below n = 1e4
+        loose_tol, tight_tol = sorted(tols, reverse=True)
+        loose = truncate(spec, AdaptiveTruncation(loose_tol))
+        tight = truncate(spec, AdaptiveTruncation(tight_tol))
+        assert tight.n_max >= loose.n_max
+        assert tight.log_weights[:loose.n_max + 1].tobytes() == loose.log_weights.tobytes()
+        for series, tol in ((loose, loose_tol), (tight, tight_tol)):
+            assert series.converged and series.tail_bound_rel <= tol
+            q_value = photon_statistics(series).mandel_q
+            if alpha == 0.0 and k == 0:
+                assert q_value is None
+            else:
+                assert q_value >= -1.0 - 1e-12
 
 
 def same_bits(x, y):
@@ -427,6 +485,21 @@ class TestPhotonStatistics:
         stats = photon_statistics(adaptive_series(2.0, 0, 1.0))
         assert abs(stats.mandel_q) < 1e-12
         assert abs(stats.mean_n - 4.0) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [5e-9, 1e-8])
+    def test_coherent_state_at_tiny_alpha_is_not_the_vacuum(self, alpha):
+        """w_1/w_0 = |alpha|^2 is far below rel_tol, yet two terms are kept,
+        so the mean is positive and Q = 0 within rounding."""
+        series = adaptive_series(alpha, 0, 1.0)
+        assert series.n_max == 1
+        stats = photon_statistics(series)
+        assert stats.converged
+        assert abs(stats.mandel_q) <= 1e-12
+
+    def test_loose_tolerance_keeps_two_terms(self):
+        stats = photon_statistics(adaptive_series(0.5, 0, 1.0, rel_tol=0.5))
+        assert stats.mandel_q is not None
+        assert stats.converged
 
     def test_vacuum_moments(self):
         """Mean and variance are 0 at the vacuum; Q = variance/mean is not defined."""
