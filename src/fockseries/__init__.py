@@ -14,7 +14,6 @@ from .entangle import (
     split,
 )
 from .errors import (
-    DimensionTooLarge,
     FockSeriesError,
     HardCapExceeded,
     InvalidParameter,
@@ -50,7 +49,6 @@ __all__ = [
     "BeamSplitterSetting",
     "DEFAULT_HARD_CAP",
     "DEFAULT_REL_TOL",
-    "DimensionTooLarge",
     "EntanglementResult",
     "FixedTruncation",
     "FockSeriesError",

@@ -13,7 +13,7 @@ import math
 import sys
 
 from ._version import __version__
-from .errors import DimensionTooLarge, FockSeriesError, HardCapExceeded
+from .errors import FockSeriesError, HardCapExceeded
 from .sweep import (
     OBSERVABLES,
     PRESETS,
@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"sweep": _cmd_sweep, "preset": _cmd_preset}[args.command]
     try:
         return handler(args)
-    except (HardCapExceeded, DimensionTooLarge) as exc:
+    except HardCapExceeded as exc:
         print(f"fockseries: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except FockSeriesError as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionTooLarge, InvalidParameter, UnnormalizedInput
+from .errors import HardCapExceeded, InvalidParameter, UnnormalizedInput
 from .series import TruncatedSeries, _ln_factorials, _point, normalization_log
 from .states import StateSpec
 
@@ -81,7 +81,6 @@ class JointAmplitudes:
 class EntanglementResult:
     purity: float
     linear_entropy: float
-    theta: float
     converged: bool
 
 
@@ -109,7 +108,7 @@ def split(series: TruncatedSeries,
     k = series.spec.k
     dim = series.n_max + k + 1
     if dim > MAX_DIM:
-        raise DimensionTooLarge(
+        raise HardCapExceeded(
             f"{_point(series.spec)}: output dimension D={dim} exceeds the split cap {MAX_DIM}")
     ln_n = normalization_log(series)
     ln_c = ln_n + 0.5 * series.log_weights  # ln c_m, m = n + k
@@ -189,5 +188,4 @@ def linear_entropy(series: TruncatedSeries,
     purity = reduced_purity(amps)
     return EntanglementResult(purity=purity,
                               linear_entropy=max(1.0 - purity, 0.0),
-                              theta=setting.theta,
                               converged=series.converged)

@@ -10,12 +10,8 @@ class InvalidParameter(FockSeriesError, ValueError):
 
 
 class HardCapExceeded(FockSeriesError, RuntimeError):
-    """Adaptive truncation passed its term cap; the parameters are not desk-scale."""
+    """A term or dimension cap was passed; the parameters are not desk-scale."""
 
 
 class UnnormalizedInput(FockSeriesError, ValueError):
     """Joint amplitudes deviate from unit norm beyond the allowed tolerance."""
-
-
-class DimensionTooLarge(FockSeriesError, RuntimeError):
-    """Entropy evaluation refused before allocating: output dimension too large."""

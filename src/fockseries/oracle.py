@@ -95,8 +95,7 @@ def oracle_entropy(spec: StateSpec,
         norm = mp.fsum(r_phi[j, j] for j in range(k + 1))
         purity = mp.fsum(r_phi2[j, j] for j in range(k + 1)) / norm ** 2
         entropy = 1 - purity
-    return EntanglementResult(purity=purity, linear_entropy=entropy,
-                              theta=setting.theta, converged=True)
+    return EntanglementResult(purity=purity, linear_entropy=entropy, converged=True)
 
 
 _TERM_CAP = 5_000_000

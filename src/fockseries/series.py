@@ -136,16 +136,19 @@ def _ln_factorials(n: int) -> np.ndarray:
     return table[:n]
 
 
-def _lgamma_factorials(n: int) -> np.ndarray:
-    """ln m! for m < n <= _CHUNK (512 KB) as math.lgamma(m + 1) gives it: a
-    read-only view of one table shared by the process, doubling as it grows."""
+def _lgamma_factorials(lo: int, hi: int) -> np.ndarray:
+    """ln m! for lo <= m < hi as math.lgamma(m + 1) gives it: for hi <= _CHUNK
+    (512 KB) a read-only view of one table shared by the process, doubling as
+    it grows; past that, mapped afresh."""
     global _lgam
-    if n > _lgam.size:
-        size = max(n, min(2 * _lgam.size, _CHUNK))
+    if hi > _CHUNK:
+        return np.array([*map(math.lgamma, range(lo + 1, hi + 1))])
+    if hi > _lgam.size:
+        size = max(hi, min(2 * _lgam.size, _CHUNK))
         table = np.concatenate((_lgam, [*map(math.lgamma, range(_lgam.size + 1, size + 1))]))
         table.flags.writeable = False
         _lgam = table
-    return _lgam[:n]
+    return _lgam[lo:hi]
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -165,10 +168,9 @@ def _ln_w(n, k: int, ln_a: float, ln_inv_q: float, ln_fact_nk, ln_fact_n):
 
     The adaptive bulk and fixed cutoffs slice both factorials from the
     _ln_factorials table, equal to gammaln bit for bit.  The adaptive tail
-    (through the _lgamma_factorials table below _CHUNK) and log_weight take
-    math.lgamma, which differs from gammaln in the last bit on about half the
-    integers, so moving either range to the other source would change output
-    bytes."""
+    (through _lgamma_factorials) and log_weight take math.lgamma, which
+    differs from gammaln in the last bit on about half the integers, so moving
+    either range to the other source would change output bytes."""
     return (n * (2.0 * ln_a) + ln_fact_nk - 2.0 * ln_fact_n
             + (k * (k - 1) + 2.0 * k * n) * ln_inv_q)
 
@@ -270,24 +272,17 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
     # that bulk in its _ln_w pass (factorials from the ln m! table) and sums it
     # vectorized.  From n_peak on every ratio is below 1, so the stop is the
     # first bound <= rel_tol at n >= 1 (a lone term has no spread: it reads as
-    # the vacuum).  Chunks give one-term-at-a-time IEEE values: math.lgamma for the
-    # tail's ln n! and ln (n+k)! (the cached table below _CHUNK, a map past it),
-    # math.exp (not np.exp), the scalar step through the last new maximum (it
-    # rescales) and a seeded cumsum.  The first chunk covers s z + z^2/6 past
-    # the peak (width s, Poisson-like skew, z^2 = 2 ln(1/rel_tol)); then x2.
+    # the vacuum).  Chunks give one-term-at-a-time IEEE values: math.lgamma for
+    # the tail's ln n! and ln (n+k)! (_lgamma_factorials), math.exp (not
+    # np.exp), the scalar step through the last new maximum (it rescales) and a
+    # seeded cumsum.  The first chunk covers s z + z^2/6 past the peak (width
+    # s, Poisson-like skew, z^2 = 2 ln(1/rel_tol)); then x2.
     tail, lo, n0, m, scaled_sum = [], 0, n_peak, -math.inf, 0.0
-    z2 = 2.0 * math.log(1.0 / policy.rel_tol)
+    z2 = -2.0 * math.log(policy.rel_tol)  # 1/rel_tol overflows for a subnormal rel_tol
     width = 4 + int(math.sqrt(z2 / (2.0 / (n_peak + 1) - 1.0 / (n_peak + k + 1))) + z2 / 6.0)
     while n0 <= DEFAULT_HARD_CAP:
         w = min(width, DEFAULT_HARD_CAP + 1 - n0)
-        top = n0 + w + k
-        if top <= _CHUNK:
-            lt = _lgamma_factorials(top)
-            lf_nk, lf_n = lt[n0 + k:], lt[n0:n0 + w]
-        else:
-            off = min(k, w)
-            lf = np.array([*map(math.lgamma, [*range(n0 + 1, n0 + w + 1), *range(top + 1 - off, top + 1)])])
-            lf_nk, lf_n = lf[off:off + w], lf[:w]
+        lf_nk, lf_n = _lgamma_factorials(n0 + k, n0 + w + k), _lgamma_factorials(n0, n0 + w)
         if lo < n0:
             lf = _ln_factorials(k + n_peak)
             lf_nk, lf_n = np.concatenate((lf[k:], lf_nk)), np.concatenate((lf[:n_peak], lf_n))

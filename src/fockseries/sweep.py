@@ -96,15 +96,12 @@ def _evaluate_point(req: SweepRequest, alpha: float) -> tuple:
     spec = penson_solomon_state(alpha, req.k, req.q)
     series = truncate(spec, req.policy)
     if req.observable == "linear_entropy":
-        result = linear_entropy(series, setting=BeamSplitterSetting(req.theta),
-                                allow_unconverged=True)
-        value = result.linear_entropy
-        converged = result.converged
+        value = linear_entropy(series, setting=BeamSplitterSetting(req.theta),
+                               allow_unconverged=True).linear_entropy
     else:
-        stats = photon_statistics(series)
-        value = stats.mandel_q
-        # the vacuum row is still written: empty value cell, flagged unconverged
-        converged = stats.converged and value is not None
+        value = photon_statistics(series).mandel_q
+    # the vacuum's Q row is still written: empty value cell, flagged unconverged
+    converged = series.converged and value is not None
     return (alpha, value, series.n_max, series.tail_bound_rel, converged)
 
 
@@ -121,11 +118,15 @@ def _sweep_metadata(req: SweepRequest) -> dict:
     return metadata
 
 
+def _evaluate(req: SweepRequest) -> list[tuple]:
+    """The CSV rows of the whole grid."""
+    return [_evaluate_point(req, float(alpha))
+            for alpha in np.linspace(req.alpha_min, req.alpha_max, req.steps)]
+
+
 def run_sweep(req: SweepRequest) -> Path:
     """Evaluate the grid and write the curve CSV; returns the written path."""
-    rows = [_evaluate_point(req, float(alpha))
-            for alpha in np.linspace(req.alpha_min, req.alpha_max, req.steps)]
-    return write_curve_csv(req.output_path, _sweep_metadata(req), rows)
+    return write_curve_csv(req.output_path, _sweep_metadata(req), _evaluate(req))
 
 
 # --- figure presets ---------------------------------------------------------
@@ -185,19 +186,22 @@ def run_preset(name: str,
                alpha_min: float | None = None,
                alpha_max: float | None = None) -> list[Path]:
     """Emit one CSV per preset curve, a manifest recording every parameter,
-    and ``plot.gp``, a gnuplot script drawing the curves."""
+    and ``plot.gp``, a gnuplot script drawing the curves.  Every curve is
+    evaluated before anything touches the disk, so a failing point leaves
+    the output directory as it was."""
     if name not in PRESETS:
         raise InvalidParameter(f"unknown preset {name!r} (have {', '.join(sorted(PRESETS))})")
     preset = PRESETS[name]
     out_dir = Path(out_dir)
-    # every request is validated before anything touches the disk
     requests = [SweepRequest(observable="mandel_q", q=preset.q, k=curve.k,
                              output_path=out_dir / curve.filename, alpha_min=alpha_min,
                              alpha_max=alpha_max, steps=steps, policy=curve.policy)
                 for curve in preset.curves]
+    tables = [_evaluate(req) for req in requests]
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    written = [run_sweep(req) for req in requests]
+    written = [write_curve_csv(req.output_path, _sweep_metadata(req), rows)
+               for req, rows in zip(requests, tables)]
     manifest_curves = [{
         "file": curve.filename,
         "label": curve.label,

@@ -12,8 +12,8 @@ from scipy.special import gammaln
 from fockseries import (
     AdaptiveTruncation,
     BeamSplitterSetting,
-    DimensionTooLarge,
     FixedTruncation,
+    HardCapExceeded,
     InvalidParameter,
     UnnormalizedInput,
     linear_entropy,
@@ -129,7 +129,7 @@ class TestSplit:
         """At alpha = 0 the series is one term, so D = k + 1 sits just past
         the cap and the check fires before the D x D matrix exists."""
         match = f"q=1.0, k={MAX_DIM}, .alpha.=0.0.*D={MAX_DIM + 1}"
-        with pytest.raises(DimensionTooLarge, match=match):
+        with pytest.raises(HardCapExceeded, match=match):
             split(series_for(0.0, MAX_DIM, q=1.0))
 
 
@@ -292,9 +292,8 @@ class TestLinearEntropy:
                   for a in (0.0, 0.5, 1.0, 2.0)]
         assert all(v1 > v2 for v1, v2 in zip(values, values[1:]))
 
-    def test_result_carries_theta_and_flag(self):
+    def test_result_carries_flag(self):
         result = linear_entropy(series_for(0.5, 1), setting=BeamSplitterSetting(0.7))
-        assert result.theta == 0.7
         assert result.converged
         assert 0.0 < result.purity <= 1.0
         assert 0.0 <= result.linear_entropy < 1.0

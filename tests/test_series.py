@@ -251,7 +251,7 @@ class TestChunkedTail:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(log_uniform_cs(st.integers(0, 200)), crossing_cs(st.integers(0, 200))),
            st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.3, 1.0)),
-           st.sampled_from([1e-30, 1e-20, 1e-14, 1e-8, 0.5]))
+           st.sampled_from([5e-324, 1e-320, 1e-30, 1e-20, 1e-14, 1e-8, 0.5]))
     def test_matches_term_at_a_time_loop(self, point, q, rel_tol):
         c, k = point
         # q = 1 or 1/2 scales sqrt(c) exactly, so a crossing keeps its ulps
@@ -284,13 +284,23 @@ class TestLgammaTable:
     TestChunkedTail checks that windows past its cap never grow it."""
 
     def test_matches_math_lgamma_bitwise(self):
-        table = _lgamma_factorials(_CHUNK)
+        table = _lgamma_factorials(0, _CHUNK)
         assert table.size == _CHUNK == series_module._lgam.size
         expected = np.array([math.lgamma(m + 1) for m in range(_CHUNK)])
         assert table.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("lo, hi", [(5, 5), (7, 40), (_CHUNK - 3, _CHUNK),
+                                        (_CHUNK - 3, _CHUNK + 4), (3 * _CHUNK, 3 * _CHUNK + 9)])
+    def test_windows_match_math_lgamma_bitwise(self, lo, hi):
+        """A window below the cap is a view of the table; one past it is
+        mapped, with the same bits, and leaves the table at the cap."""
+        window = _lgamma_factorials(lo, hi)
+        expected = np.array([math.lgamma(m + 1) for m in range(lo, hi)])
+        assert window.dtype == np.float64 and window.tobytes() == expected.tobytes()
+        assert series_module._lgam.size <= _CHUNK
+
     def test_read_only(self):
-        table = _lgamma_factorials(20)
+        table = _lgamma_factorials(0, 20)
         with pytest.raises(ValueError):
             table[3] = 0.0
         with pytest.raises(ValueError):

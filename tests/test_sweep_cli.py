@@ -12,6 +12,7 @@ import fockseries
 from fockseries import (
     AdaptiveTruncation,
     FixedTruncation,
+    HardCapExceeded,
     InvalidParameter,
     SweepRequest,
     __version__,
@@ -204,7 +205,8 @@ class TestPresets:
             run_preset("fig9", tmp_path)
 
     def test_bad_grid_leaves_no_directory(self, tmp_path):
-        """Every curve's request is validated before the directory is made."""
+        """Every curve's request is validated, and every curve evaluated,
+        before the directory is made or any file written."""
         out_dir = tmp_path / "fig2"
         with pytest.raises(InvalidParameter):
             run_preset("fig2", out_dir, alpha_min=3.0, alpha_max=1.0)
@@ -212,6 +214,18 @@ class TestPresets:
         with pytest.raises(InvalidParameter, match="alpha_max must be finite, got inf"):
             run_preset("fig2", out_dir, steps=3, alpha_max=math.inf)
         assert not out_dir.exists()
+        # the four fixed cutoffs succeed at |alpha| = 2000; the adaptive reference fails
+        with pytest.raises(HardCapExceeded, match="q=0.5, k=3, .alpha.=1000.0"):
+            run_preset("fig2", out_dir, steps=3, alpha_max=2000.0)
+        assert not out_dir.exists()
+
+    def test_failing_preset_keeps_an_earlier_run(self, tmp_path):
+        run_preset("fig2", tmp_path, steps=3)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert len(before) == 7
+        assert main(["preset", "--name", "fig2", "--steps", "3", "--alpha-max", "2000",
+                     "--out-dir", str(tmp_path)]) == 3
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestPlotScript:
@@ -273,7 +287,17 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
         err = capsys.readouterr().err
+        assert err.startswith("fockseries: numeric failure: ")
         assert "q=1.0" in err and "k=50000" in err and "|alpha|=0.0" in err and "D=50001" in err
+
+    @pytest.mark.parametrize("tol", ["1e-320", "5e-324"])
+    def test_subnormal_tolerance_exit_0(self, tmp_path, tol):
+        """A subnormal rel_tol has no finite reciprocal; the tail still runs."""
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--observable", "mandel_q", "--policy", f"adaptive:{tol}",
+                     "--steps", "3", "--out", str(out)]) == 0
+        rows = [line for line in out.read_text().splitlines() if line[0].isdigit()]
+        assert len(rows) == 3 and rows[1].endswith(",true") and rows[2].endswith(",true")
 
     def test_internal_value_error_propagates(self, tmp_path, monkeypatch):
         """Only fockseries errors are reported as bad arguments."""
