@@ -9,7 +9,6 @@ split cap), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from ._version import __version__
@@ -30,64 +29,46 @@ EXIT_IO = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Options left out are not set, so the library's defaults apply."""
     parser = argparse.ArgumentParser(prog="fockseries",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"fockseries {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    grid = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    grid.add_argument("--alpha-min", type=float)
+    grid.add_argument("--alpha-max", type=float)
+    grid.add_argument("--steps", type=int)
 
-    sweep = sub.add_parser("sweep", help="evaluate one observable over an |alpha| grid")
+    sweep = sub.add_parser("sweep", parents=[grid], argument_default=argparse.SUPPRESS,
+                           help="evaluate one observable over an |alpha| grid")
     sweep.add_argument("--observable", required=True, choices=OBSERVABLES)
     sweep.add_argument("--q", type=float, default=1.0,
                        help="deformation parameter in (0, 1]; 1 gives photon-added coherent states")
     sweep.add_argument("--k", type=int, default=0, help="number of added photons")
-    sweep.add_argument("--alpha-min", type=float, default=None)
-    sweep.add_argument("--alpha-max", type=float, default=None)
-    sweep.add_argument("--steps", type=int, default=None)
-    sweep.add_argument("--policy", default="adaptive",
-                       help="adaptive[:<tol>] or fixed:<n_max>")
-    sweep.add_argument("--theta", type=float, default=math.pi / 4.0,
-                       help="beam-splitter angle (linear_entropy only)")
-    sweep.add_argument("--out", required=True, help="output CSV path")
+    sweep.add_argument("--policy", help="adaptive[:<tol>] or fixed:<n_max>")
+    sweep.add_argument("--theta", type=float, help="beam-splitter angle (linear_entropy only)")
+    sweep.add_argument("--out", dest="output_path", metavar="OUT", required=True,
+                       help="output CSV path")
 
-    preset = sub.add_parser("preset",
+    preset = sub.add_parser("preset", parents=[grid], argument_default=argparse.SUPPRESS,
                             help="emit the CSVs, manifest and gnuplot script of a named figure")
     preset.add_argument("--name", required=True, choices=sorted(PRESETS))
     preset.add_argument("--out-dir", required=True)
-    preset.add_argument("--steps", type=int, default=None)
-    preset.add_argument("--alpha-min", type=float, default=None)
-    preset.add_argument("--alpha-max", type=float, default=None)
     return parser
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    req = SweepRequest(
-        observable=args.observable,
-        q=args.q,
-        k=args.k,
-        output_path=args.out,
-        alpha_min=args.alpha_min,
-        alpha_max=args.alpha_max,
-        steps=args.steps,
-        policy=parse_policy(args.policy),
-        theta=args.theta,
-    )
-    path = run_sweep(req)
-    print(path)
-    return EXIT_OK
-
-
-def _cmd_preset(args: argparse.Namespace) -> int:
-    for path in run_preset(args.name, args.out_dir, steps=args.steps,
-                           alpha_min=args.alpha_min, alpha_max=args.alpha_max):
-        print(path)
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {"sweep": _cmd_sweep, "preset": _cmd_preset}[args.command]
+    options = vars(build_parser().parse_args(argv))
+    command = options.pop("command")
     try:
-        return handler(args)
+        if command == "preset":
+            paths = run_preset(**options)
+        else:
+            if "policy" in options:
+                options["policy"] = parse_policy(options["policy"])
+            paths = [run_sweep(SweepRequest(**options))]
+        for path in paths:
+            print(path)
     except HardCapExceeded as exc:
         print(f"fockseries: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -97,6 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"fockseries: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 def run() -> None:

@@ -49,14 +49,6 @@ class BeamSplitterSetting:
             raise InvalidParameter(f"theta must lie in (0, pi/2], got {self.theta}")
         object.__setattr__(self, "theta", th)
 
-    @property
-    def transmittance(self) -> float:
-        return math.cos(self.theta)
-
-    @property
-    def reflectance(self) -> float:
-        return math.sin(self.theta)
-
 
 @dataclass(frozen=True, eq=False)
 class JointAmplitudes:
@@ -85,9 +77,7 @@ class EntanglementResult:
 
 
 def split(series: TruncatedSeries,
-          setting: BeamSplitterSetting = BeamSplitterSetting(),
-          *,
-          allow_unconverged: bool = False) -> JointAmplitudes:
+          setting: BeamSplitterSetting = BeamSplitterSetting()) -> JointAmplitudes:
     """Expand (state tensor vacuum) over the joint Fock basis of the outputs.
 
     Amplitudes are assembled in log-space, half log-binomial + ln c_m +
@@ -101,9 +91,6 @@ def split(series: TruncatedSeries,
     """
     if not isinstance(setting, BeamSplitterSetting):
         raise InvalidParameter("setting must be a BeamSplitterSetting")
-    if not series.converged and not allow_unconverged:
-        raise InvalidParameter(
-            "series is not converged; pass allow_unconverged=True to propagate it anyway")
 
     k = series.spec.k
     dim = series.n_max + k + 1
@@ -112,8 +99,8 @@ def split(series: TruncatedSeries,
             f"{_point(series.spec)}: output dimension D={dim} exceeds the split cap {MAX_DIM}")
     ln_n = normalization_log(series)
     ln_c = ln_n + 0.5 * series.log_weights  # ln c_m, m = n + k
-    ln_t = math.log(setting.transmittance)
-    ln_r = math.log(setting.reflectance)
+    ln_t = math.log(math.cos(setting.theta))
+    ln_r = math.log(math.sin(setting.theta))
 
     # Hankel views lg_m[j, l] = ln (j+l)! and ln_c_m[j, l] = ln c_{j+l}
     lg = _ln_factorials(2 * dim - 1)
@@ -182,10 +169,14 @@ def linear_entropy(series: TruncatedSeries,
     """S = 1 - Tr(rho_a^2) of the transmitted mode after splitting with vacuum.
 
     S is clamped at 0: a pure reduced state's purity can round a few ulps
-    above 1.  ``purity`` keeps the raw value.
+    above 1.  ``purity`` keeps the raw value.  An unconverged series (a
+    fixed cutoff short of the certificate) is refused unless
+    ``allow_unconverged``; the result then carries ``converged=False``.
     """
-    amps = split(series, setting, allow_unconverged=allow_unconverged)
-    purity = reduced_purity(amps)
+    if not series.converged and not allow_unconverged:
+        raise InvalidParameter(
+            "series is not converged; pass allow_unconverged=True to propagate it anyway")
+    purity = reduced_purity(split(series, setting))
     return EntanglementResult(purity=purity,
                               linear_entropy=max(1.0 - purity, 0.0),
                               converged=series.converged)

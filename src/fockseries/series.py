@@ -58,8 +58,10 @@ class AdaptiveTruncation:
     rel_tol: float = DEFAULT_REL_TOL
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1.0):
+        tol = float(self.rel_tol)
+        if not (0.0 < tol < 1.0):
             raise InvalidParameter(f"rel_tol must be in (0, 1), got {self.rel_tol}")
+        object.__setattr__(self, "rel_tol", tol)
 
 
 @dataclass(frozen=True)

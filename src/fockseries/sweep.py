@@ -61,28 +61,26 @@ def policy_label(policy: TruncationPolicy) -> str:
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """One observable over an |alpha| grid; an unset grid bound or step count
-    takes its entry in DEFAULT_GRID."""
+    """One observable over an |alpha| grid, by default DEFAULT_GRID."""
 
     observable: str
     q: float
     k: int
     output_path: Path | str
-    alpha_min: float | None = None
-    alpha_max: float | None = None
-    steps: int | None = None
+    alpha_min: float = DEFAULT_GRID[0]
+    alpha_max: float = DEFAULT_GRID[1]
+    steps: int = DEFAULT_GRID[2]
     policy: TruncationPolicy = field(default_factory=AdaptiveTruncation)
-    theta: float = math.pi / 4.0
+    theta: float = BeamSplitterSetting.theta
 
     def __post_init__(self) -> None:
         if self.observable not in OBSERVABLES:
             raise InvalidParameter(f"unknown observable {self.observable!r}")
-        for name, default in zip(("alpha_min", "alpha_max", "steps"), DEFAULT_GRID):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, default)
         for name in ("alpha_min", "alpha_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameter(f"{name} must be finite, got {getattr(self, name)!r}")
+            bound = float(getattr(self, name))
+            if not math.isfinite(bound):
+                raise InvalidParameter(f"{name} must be finite, got {bound!r}")
+            object.__setattr__(self, name, bound)
         if not (0.0 <= self.alpha_min <= self.alpha_max):
             raise InvalidParameter("need 0 <= alpha_min <= alpha_max")
         if not isinstance(self.steps, int) or not 2 <= self.steps <= MAX_STEPS:
@@ -182,9 +180,9 @@ PRESETS = {
 
 def run_preset(name: str,
                out_dir: Path | str,
-               steps: int | None = None,
-               alpha_min: float | None = None,
-               alpha_max: float | None = None) -> list[Path]:
+               steps: int = DEFAULT_GRID[2],
+               alpha_min: float = DEFAULT_GRID[0],
+               alpha_max: float = DEFAULT_GRID[1]) -> list[Path]:
     """Emit one CSV per preset curve, a manifest recording every parameter,
     and ``plot.gp``, a gnuplot script drawing the curves.  Every curve is
     evaluated before anything touches the disk, so a failing point leaves
@@ -209,7 +207,7 @@ def run_preset(name: str,
         "width": curve.width,
         "parameters": _sweep_metadata(req),
     } for curve, req in zip(preset.curves, requests)]
-    # every curve's request resolved the same grid
+    # every curve's request holds the same grid, its bounds as floats
     grid = requests[0]
     manifest = {
         "fockseries_version": __version__,

@@ -39,8 +39,8 @@ def split_by_antidiagonal(series, setting):
     k = series.spec.k
     dim = series.n_max + k + 1
     ln_c = normalization_log(series) + 0.5 * series.log_weights
-    ln_t = math.log(setting.transmittance)
-    ln_r = math.log(setting.reflectance)
+    ln_t = math.log(math.cos(setting.theta))
+    ln_r = math.log(math.sin(setting.theta))
     matrix = np.zeros((dim, dim))
     lg = gammaln(np.arange(dim + 1, dtype=np.float64) + 1.0)
     for m in range(k, dim):
@@ -69,7 +69,6 @@ class TestBeamSplitterSetting:
     def test_default_is_balanced(self):
         setting = BeamSplitterSetting()
         assert setting.theta == math.pi / 4.0
-        assert abs(setting.transmittance ** 2 + setting.reflectance ** 2 - 1.0) < 1e-15
 
     def test_theta_domain(self):
         BeamSplitterSetting(math.pi / 2.0)  # fully reflecting edge is allowed
@@ -120,9 +119,9 @@ class TestSplit:
 
     def test_unconverged_requires_opt_in(self):
         fixed = truncate(penson_solomon_state(5.0, 3, 0.5), FixedTruncation(n_max=100))
-        with pytest.raises(InvalidParameter):
-            split(fixed)
-        split(fixed, allow_unconverged=True)
+        assert split(fixed).matrix.shape == (104, 104)
+        with pytest.raises(InvalidParameter, match="not converged"):
+            linear_entropy(fixed)
         assert not linear_entropy(fixed, allow_unconverged=True).converged
 
     def test_dimension_cap_refuses_before_allocating(self):

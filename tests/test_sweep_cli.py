@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fockseries
@@ -46,6 +47,14 @@ class TestPolicyParsing:
         assert policy_label(AdaptiveTruncation()) == "adaptive:1e-14"
         odd = AdaptiveTruncation(rel_tol=1.23456789101112e-12)
         assert parse_policy(policy_label(odd)) == odd
+
+    def test_numpy_tolerance_round_trips(self, tmp_path):
+        """A numpy tolerance is held as a float, so the header reads back."""
+        policy = AdaptiveTruncation(np.float64(1e-12))
+        assert type(policy.rel_tol) is float
+        assert parse_policy(policy_label(policy)) == policy
+        lines = run_sweep(small_sweep(tmp_path, steps=2, policy=policy)).read_text().splitlines()
+        assert "# policy=adaptive:1e-12" in lines and "# tol=1e-12" in lines
 
     def test_rejects_garbage(self):
         for bad in ("geometric", "fixed", "fixed:x", "adaptive:zero"):
@@ -200,6 +209,12 @@ class TestPresets:
         for name in ("fig1-left_k1.csv", "manifest.json", "plot.gp"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    def test_integer_grid_bounds_write_the_default_manifest(self, tmp_path):
+        run_preset("fig1-left", tmp_path / "int", steps=3, alpha_min=0, alpha_max=5)
+        run_preset("fig1-left", tmp_path / "default", steps=3)
+        assert ((tmp_path / "int" / "manifest.json").read_bytes()
+                == (tmp_path / "default" / "manifest.json").read_bytes())
+
     def test_unknown_preset(self, tmp_path):
         with pytest.raises(InvalidParameter):
             run_preset("fig9", tmp_path)
@@ -327,6 +342,13 @@ class TestCliExitCodes:
                      "--steps", "4"]) == 0
         assert (tmp_path / "plot.gp").exists()
 
+    def test_preset_defaults_are_the_library_defaults(self, tmp_path):
+        assert main(["preset", "--name", "fig1-right", "--out-dir", str(tmp_path / "cli")]) == 0
+        run_preset("fig1-right", tmp_path / "lib")
+        cli, lib = ({p.name: p.read_bytes() for p in (tmp_path / side).iterdir()}
+                    for side in ("cli", "lib"))
+        assert len(lib) == 5 and cli == lib
+
     @pytest.mark.parametrize("args", [["--q", "1e-200", "--k", "2"],
                                       ["--alpha-max", "1e200"]])
     def test_overflowing_ratio_exit_3(self, tmp_path, args):
@@ -368,17 +390,14 @@ class TestCliExitCodes:
         assert proc.returncode == 0, proc.stderr
 
     def test_default_grids_per_observable(self, tmp_path):
-        """Unset flags fall back to 201 points on [0,5] for both Q and S."""
-        out_q = tmp_path / "q.csv"
-        assert main(["sweep", "--observable", "mandel_q", "--q", "0.5", "--k", "1",
-                     "--out", str(out_q)]) == 0
-        _, rows = read_curve_csv(out_q)
-        assert len(rows) == 201
-        assert (rows[0]["alpha"], rows[-1]["alpha"]) == ("0.0", "5.0")
-
-        out_s = tmp_path / "s.csv"
-        assert main(["sweep", "--observable", "linear_entropy", "--q", "0.5", "--k", "1",
-                     "--out", str(out_s)]) == 0
-        _, rows = read_curve_csv(out_s)
-        assert len(rows) == 201
-        assert (rows[0]["alpha"], rows[-1]["alpha"]) == ("0.0", "5.0")
+        """Unset flags take the library's defaults: 201 points on [0,5] for
+        both Q and S, the adaptive policy and the 50:50 splitter."""
+        for observable in ("mandel_q", "linear_entropy"):
+            out = tmp_path / f"{observable}-cli.csv"
+            assert main(["sweep", "--observable", observable, "--q", "0.5", "--k", "1",
+                         "--out", str(out)]) == 0
+            _, rows = read_curve_csv(out)
+            assert len(rows) == 201
+            assert (rows[0]["alpha"], rows[-1]["alpha"]) == ("0.0", "5.0")
+            lib = run_sweep(SweepRequest(observable, 0.5, 1, tmp_path / f"{observable}-lib.csv"))
+            assert out.read_bytes() == lib.read_bytes()
