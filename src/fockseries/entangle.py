@@ -73,7 +73,6 @@ class JointAmplitudes:
 class EntanglementResult:
     purity: float
     linear_entropy: float
-    converged: bool
 
 
 def split(series: TruncatedSeries,
@@ -171,12 +170,10 @@ def linear_entropy(series: TruncatedSeries,
     S is clamped at 0: a pure reduced state's purity can round a few ulps
     above 1.  ``purity`` keeps the raw value.  An unconverged series (a
     fixed cutoff short of the certificate) is refused unless
-    ``allow_unconverged``; the result then carries ``converged=False``.
+    ``allow_unconverged``.
     """
     if not series.converged and not allow_unconverged:
         raise InvalidParameter(
             "series is not converged; pass allow_unconverged=True to propagate it anyway")
     purity = reduced_purity(split(series, setting))
-    return EntanglementResult(purity=purity,
-                              linear_entropy=max(1.0 - purity, 0.0),
-                              converged=series.converged)
+    return EntanglementResult(purity=purity, linear_entropy=max(1.0 - purity, 0.0))

@@ -4,7 +4,7 @@ The weights w_n ∝ x^n (n+k)!/(n!)^2, with x = |alpha|^2 q^(-2k), make every
 Penson-Solomon state the photon-added coherent state a†^k|beta> at beta^2 = x
 (Agarwal & Tara, Phys. Rev. A 43, 492 (1991)).  Both observables are then
 finite sums in k+1 dimensions: no Fock series is summed and nothing is
-truncated, so ``tail_bound_rel`` is 0.  With m the photon number:
+truncated.  With m the photon number:
 
 - Q: N_j = <beta|a^p a†^p|beta> = p! L_p(-x) = sum_i C(p,i) p!/i! x^i at
   p = k + j gives <m+1> = N_1/N_0 and <(m+1)(m+2)> = N_2/N_0.
@@ -75,8 +75,7 @@ def oracle_statistics(spec: StateSpec,
         mean = m1 - 1
         variance = m2 - m1 - m1 ** 2
         mandel = None if mean == 0 else variance / mean - 1
-    return PhotonStatistics(mean_n=mean, variance=variance, mandel_q=mandel,
-                            tail_bound_rel=0.0, converged=True)
+    return PhotonStatistics(mean_n=mean, variance=variance, mandel_q=mandel)
 
 
 def oracle_entropy(spec: StateSpec,
@@ -95,7 +94,7 @@ def oracle_entropy(spec: StateSpec,
         norm = mp.fsum(r_phi[j, j] for j in range(k + 1))
         purity = mp.fsum(r_phi2[j, j] for j in range(k + 1)) / norm ** 2
         entropy = 1 - purity
-    return EntanglementResult(purity=purity, linear_entropy=entropy, converged=True)
+    return EntanglementResult(purity=purity, linear_entropy=entropy)
 
 
 _TERM_CAP = 5_000_000

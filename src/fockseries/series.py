@@ -66,9 +66,10 @@ class AdaptiveTruncation:
 
 @dataclass(frozen=True)
 class FixedTruncation:
-    """Keep exactly n_max + 1 terms, whether or not the series has converged."""
+    """Keep exactly n_max + 1 terms; converged only if the tail bound is <= rel_tol."""
 
     n_max: int
+    rel_tol = DEFAULT_REL_TOL
 
     def __post_init__(self) -> None:
         if (not isinstance(self.n_max, int) or isinstance(self.n_max, bool)
@@ -87,15 +88,17 @@ class TruncatedSeries:
     ``tail_bound_rel`` is an upper bound on the neglected tail mass relative
     to the retained sum; it is +inf when no geometric bound exists (fixed
     cutoff with term ratio still >= 1).  ``converged`` is False whenever the
-    bound fails the policy tolerance, and the flag must propagate into every
-    quantity derived from this series.
+    bound fails the policy tolerance, and the sweep copies it into every row.
     """
 
     spec: StateSpec
     log_weights: np.ndarray
-    n_max: int
     tail_bound_rel: float
     converged: bool
+
+    @property
+    def n_max(self) -> int:
+        return self.log_weights.size - 1
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,6 @@ class PhotonStatistics:
     mean_n: float
     variance: float
     mandel_q: float | None  # None for the vacuum (mean 0)
-    tail_bound_rel: float
-    converged: bool
 
 
 def _build_ln_factorials(size: int) -> np.ndarray:
@@ -238,7 +239,7 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
 
     Fixed: store exactly n_max + 1 weights; the series counts as converged
     only if the same certified bound happens to hold at n_max against
-    DEFAULT_REL_TOL, otherwise the tail bound is reported as +inf (ratio
+    policy.rel_tol, otherwise the tail bound is reported as +inf (ratio
     still >= 1) or as the failing finite bound.
     """
     if not isinstance(spec, StateSpec):
@@ -246,7 +247,7 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
     if spec.alpha_abs == 0.0:
         # every n >= 1 weight is exactly zero; single-term series, no tail
         return TruncatedSeries(spec=spec, log_weights=np.array([log_weight(spec, 0)]),
-                               n_max=0, tail_bound_rel=0.0, converged=True)
+                               tail_bound_rel=0.0, converged=True)
     ln_a, ln_inv_q, c = math.log(spec.alpha_abs), math.log(1.0 / spec.q), _ratio_constant(spec)
     if isinstance(policy, AdaptiveTruncation):
         return _truncate_adaptive(spec, policy, ln_a, ln_inv_q, c)
@@ -312,7 +313,7 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
         i = first + int((bounds[first:] <= policy.rel_tol).argmax())
         if bounds[i] <= policy.rel_tol:
             return TruncatedSeries(spec=spec, log_weights=np.concatenate((*tail, lws[:n0 - lo + i + 1])),
-                                   n_max=n0 + i, tail_bound_rel=float(bounds[i]), converged=True)
+                                   tail_bound_rel=float(bounds[i]), converged=True)
         tail.append(lws)
         scaled_sum, lo, n0, width = float(sums[-1]), n0 + w, n0 + w, min(2 * width, _CHUNK)
     raise HardCapExceeded(
@@ -328,12 +329,12 @@ def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,
     r = _ratio(c, k, policy.n_max)
     if r >= 1.0:
         # no geometric bound exists; the neglected tail may dominate
-        return TruncatedSeries(spec=spec, log_weights=lws, n_max=policy.n_max,
-                               tail_bound_rel=math.inf, converged=False)
+        return TruncatedSeries(spec=spec, log_weights=lws, tail_bound_rel=math.inf,
+                               converged=False)
     m = float(lws.max())
     bound = _tail_bound(math.exp(float(lws[-1]) - m), r, float(np.exp(lws - m).sum()))
-    return TruncatedSeries(spec=spec, log_weights=lws, n_max=policy.n_max,
-                           tail_bound_rel=bound, converged=bound <= DEFAULT_REL_TOL)
+    return TruncatedSeries(spec=spec, log_weights=lws, tail_bound_rel=bound,
+                           converged=bound <= policy.rel_tol)
 
 
 def normalization_log(series: TruncatedSeries) -> float:
@@ -368,8 +369,5 @@ def photon_statistics(series: TruncatedSeries) -> PhotonStatistics:
     total = z.sum()
     mean = float((z * ns).sum() / total)
     variance = float((z * (ns - mean) ** 2).sum() / total)
-    return PhotonStatistics(mean_n=mean,
-                            variance=variance,
-                            mandel_q=variance / mean - 1.0 if mean else None,
-                            tail_bound_rel=series.tail_bound_rel,
-                            converged=series.converged)
+    return PhotonStatistics(mean_n=mean, variance=variance,
+                            mandel_q=variance / mean - 1.0 if mean else None)

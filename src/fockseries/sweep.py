@@ -15,7 +15,6 @@ from .entangle import BeamSplitterSetting, linear_entropy
 from .errors import InvalidParameter
 from .output import write_curve_csv, write_manifest
 from .series import (
-    DEFAULT_REL_TOL,
     AdaptiveTruncation,
     FixedTruncation,
     TruncationPolicy,
@@ -109,7 +108,7 @@ def _sweep_metadata(req: SweepRequest) -> dict:
         "q": float(req.q),
         "k": req.k,
         "policy": policy_label(req.policy),
-        "tol": req.policy.rel_tol if isinstance(req.policy, AdaptiveTruncation) else DEFAULT_REL_TOL,
+        "tol": req.policy.rel_tol,
     }
     if req.observable == "linear_entropy":
         metadata["theta"] = float(req.theta)
@@ -118,8 +117,9 @@ def _sweep_metadata(req: SweepRequest) -> dict:
 
 def _evaluate(req: SweepRequest) -> list[tuple]:
     """The CSV rows of the whole grid."""
-    return [_evaluate_point(req, float(alpha))
-            for alpha in np.linspace(req.alpha_min, req.alpha_max, req.steps)]
+    with np.errstate(over="ignore"):  # the last step can overflow; linspace ends on alpha_max
+        grid = np.linspace(req.alpha_min, req.alpha_max, req.steps)
+    return [_evaluate_point(req, float(alpha)) for alpha in grid]
 
 
 def run_sweep(req: SweepRequest) -> Path:

@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import fockseries
 from fockseries import (
@@ -125,13 +128,24 @@ class TestRunSweep:
         assert all(float(row["value"]) >= 0.0 for row in rows)
 
     def test_unconverged_fixed_rows_are_flagged(self, tmp_path):
+        """A fixed cutoff is judged against the default tolerance, which the
+        header records: short of the peak it fails, past it it can pass."""
         req = small_sweep(tmp_path, q=0.5, k=3, alpha_min=4.0, alpha_max=5.0,
                           steps=2, policy=FixedTruncation(n_max=100))
-        _, rows = read_curve_csv(run_sweep(req))
+        meta, rows = read_curve_csv(run_sweep(req))
+        assert meta["policy"] == "fixed:100"
+        assert meta["tol"] == "1e-14"
         for row in rows:
             assert row["converged"] == "false"
             assert row["tail_bound_rel"] == "inf"
             assert row["n_max_used"] == "100"
+        req = small_sweep(tmp_path, q=1.0, k=0, alpha_min=1.0, alpha_max=1.0,
+                          steps=2, policy=FixedTruncation(n_max=80))
+        meta, rows = read_curve_csv(run_sweep(req))
+        assert meta["tol"] == "1e-14"
+        for row in rows:
+            assert [row["n_max_used"], row["tail_bound_rel"], row["converged"]] == [
+                "80", "6.425217130919811e-122", "true"]
 
     def test_determinism_byte_identical(self, tmp_path):
         req1 = small_sweep(tmp_path, q=0.7, k=2, output_path=tmp_path / "a.csv")
@@ -401,3 +415,74 @@ class TestCliExitCodes:
             assert (rows[0]["alpha"], rows[-1]["alpha"]) == ("0.0", "5.0")
             lib = run_sweep(SweepRequest(observable, 0.5, 1, tmp_path / f"{observable}-lib.csv"))
             assert out.read_bytes() == lib.read_bytes()
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse exits 2 by itself, e.g. on --alpha-max -inf
+        return exc.code
+
+
+@st.composite
+def mostly(draw, valid, other):
+    """``valid`` about six times in seven, else ``other``: a run of six options
+    then passes validation often enough to reach exits 0 and 3."""
+    return draw(other if draw(st.integers(0, 6)) == 0 else valid)
+
+
+# fixed cutoffs stop at 300 and k at 300, so no case sums millions of terms
+policies = mostly(
+    st.one_of(st.integers(0, 300).map(lambda n: f"fixed:{n}"),
+              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+                  lambda tol: f"adaptive:{tol!r}"),
+              st.just("adaptive")),
+    st.one_of(st.integers(-5, 0).map(lambda n: f"fixed:{n}"),
+              st.floats().map(lambda tol: f"adaptive:{tol!r}"),
+              st.sampled_from(["adaptive:", "fixed:", "fixed:x", "fixed:1.5", "", "garbage"]),
+              st.text(max_size=8)))
+steps = mostly(st.integers(2, 4), st.integers(-1, 1))
+
+
+def grids(alpha_max, any_alpha_max):
+    return mostly(st.tuples(st.floats(0.0, alpha_max), st.floats(0.0, alpha_max)).map(sorted),
+                  st.tuples(st.floats(), any_alpha_max))
+
+
+class TestCliExitCodeProperties:
+    """Any sweep input ends in a documented exit code, writes its CSV if and
+    only if it succeeds, and writes the same bytes when repeated."""
+
+    @staticmethod
+    def check(args):
+        with tempfile.TemporaryDirectory() as tmp:
+            out, again = Path(tmp) / "o.csv", Path(tmp) / "again.csv"
+            code = exit_code(["sweep", *args, "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            assert out.exists() == (code == 0)
+            if code == 0:
+                assert exit_code(["sweep", *args, "--out", str(again)]) == 0
+                assert again.read_bytes() == out.read_bytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(q=mostly(st.floats(1e-300, 1.0), st.sampled_from([math.nan, math.inf, -math.inf])),
+           k=st.integers(-2, 300), grid=grids(5.0, st.floats()), steps=steps, policy=policies)
+    # linspace's last step overflows here, though every grid point is finite
+    @example(q=1.0, k=0, grid=(0.0, sys.float_info.max), steps=4, policy="fixed:0")
+    def test_mandel_q(self, q, k, grid, steps, policy):
+        lo, hi = grid
+        self.check(["--observable", "mandel_q", "--q", repr(q), "--k", str(k),
+                    "--alpha-min", repr(lo), "--alpha-max", repr(hi), "--steps", str(steps),
+                    "--policy", policy])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(q=mostly(st.floats(0.5, 1.0), st.floats(min_value=0.5)), k=st.integers(-2, 8),
+           grid=grids(3.0, st.floats(max_value=3.0)), steps=steps, policy=policies,
+           theta=mostly(st.floats(0.0, math.pi / 2.0), st.floats()))
+    def test_linear_entropy(self, q, k, grid, steps, policy, theta):
+        lo, hi = grid
+        # the split matrix is D x D with D near x = |alpha|^2 q^(-2k): keep it small
+        assume(not (q <= 1.0 and k >= 0 and hi >= 0.0 and hi * hi * q ** (-2 * k) > 1000.0))
+        self.check(["--observable", "linear_entropy", "--q", repr(q), "--k", str(k),
+                    "--alpha-min", repr(lo), "--alpha-max", repr(hi), "--steps", str(steps),
+                    "--policy", policy, "--theta", repr(theta)])
