@@ -9,6 +9,7 @@ split cap), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from ._version import __version__
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+NUMBER_OPTIONS = ("--alpha-min", "--alpha-max", "--steps", "--q", "--k", "--theta")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    options = vars(build_parser().parse_args(argv))
+    args: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        # argparse takes a lone -1e-05, -inf or -nan for an option; attach it
+        if args and args[-1] in NUMBER_OPTIONS and re.match(r"-[\d.iInN]", arg):
+            arg = args.pop() + "=" + arg
+        args.append(arg)
+    options = vars(build_parser().parse_args(args))
     command = options.pop("command")
     try:
         if command == "preset":

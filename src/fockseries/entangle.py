@@ -35,6 +35,7 @@ MAX_DIM = 8192
 # largest squared mass of an edge run of rows or columns cut off the purity's box
 _TRIM_MASS = 1e-30
 _BLOCK = 32  # box rows per Gram product
+_BUILD_CELLS = 1 << 15  # cells per row block of split's build (256 KB)
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,14 @@ def split(series: TruncatedSeries,
     """Expand (state tensor vacuum) over the joint Fock basis of the outputs.
 
     Amplitudes are assembled in log-space, half log-binomial + ln c_m +
-    j ln t + l ln r with m = j + l, over the whole D x D square at once and
-    exponentiated in place.  The m-dependent terms are Hankel views of
-    ln m! and of ln c_m, the latter padded with -inf off k <= m < D, so
-    those cells come out exactly 0.0.  theta in (0, pi/2] keeps t and r
-    positive (cos(pi/2) is 6.1e-17 in floating point), so both logs are
-    finite.  ``norm_tol`` is fixed here, from the series' tail bound and the
-    largest log term, for reduced_purity's unit-norm check.
+    j ln t + l ln r with m = j + l, from Hankel views of ln m! and of ln c_m
+    (padded with -inf off k <= m < D, so those cells come out exactly 0.0).
+    Row blocks of 2^15 cells, built in one scratch buffer that stays in
+    cache, are exponentiated into a zeroed D x D matrix; the block from row
+    lo fills only the columns l < D - lo, as j + l >= D past them.  theta in
+    (0, pi/2] keeps t and r positive (cos(pi/2) is 6.1e-17 in floating
+    point), so both logs are finite.  ``norm_tol`` is fixed here, from the
+    series' tail bound and the largest log term, for the unit-norm check.
     """
     if not isinstance(setting, BeamSplitterSetting):
         raise InvalidParameter("setting must be a BeamSplitterSetting")
@@ -96,6 +98,7 @@ def split(series: TruncatedSeries,
     if dim > MAX_DIM:
         raise HardCapExceeded(
             f"{_point(series.spec)}: output dimension D={dim} exceeds the split cap {MAX_DIM}")
+    matrix = np.zeros((dim, dim))  # the only D x D array
     ln_n = normalization_log(series)
     ln_c = ln_n + 0.5 * series.log_weights  # ln c_m, m = n + k
     ln_t = math.log(math.cos(setting.theta))
@@ -107,15 +110,19 @@ def split(series: TruncatedSeries,
     ln_c_pad[k:dim] = ln_c
     lg_m = sliding_window_view(lg, dim)
     ln_c_m = sliding_window_view(ln_c_pad, dim)
-    idx = np.arange(dim)
 
-    matrix = np.subtract(lg_m, lg[:dim, None])  # the only D x D array
-    matrix -= lg[:dim]
-    matrix *= 0.5
-    matrix += ln_c_m
-    matrix += (idx * ln_t)[:, None]
-    matrix += idx * ln_r
-    np.exp(matrix, out=matrix)
+    rows = max(1, _BUILD_CELLS // dim)
+    buf = np.empty(min(rows, dim) * dim)
+    for lo in range(0, dim, rows):
+        hi, w = min(lo + rows, dim), dim - lo
+        blk = buf[:(hi - lo) * w].reshape(hi - lo, w)
+        np.subtract(lg_m[lo:hi, :w], lg[lo:hi, None], out=blk)
+        blk -= lg[:w]
+        blk *= 0.5
+        blk += ln_c_m[lo:hi, :w]
+        blk += (np.arange(lo, hi) * ln_t)[:, None]
+        blk += np.arange(w) * ln_r
+        np.exp(blk, out=matrix[lo:hi, :w])
     log_scale = max(abs(ln_n), float(lg[dim - 1]), (dim - 1) * abs(ln_t), (dim - 1) * abs(ln_r))
     floor = _ROUNDING_ULPS * np.finfo(np.float64).eps * max(1.0, log_scale)
     return JointAmplitudes(matrix=matrix, norm_tol=10.0 * series.tail_bound_rel + floor,
@@ -136,8 +143,9 @@ def reduced_purity(amps: JointAmplitudes) -> float:
     ``amps.norm_tol`` that split set: the row masses sum_l A(j, l)^2 sum to
     the squared norm.  The purity is then taken on the box A[r0:r1, c0:c1]
     left after dropping, at each end of the rows and of the columns, the
-    longest run of squared mass at most 1e-30.  For a unit-norm A, dropping rows or columns of squared mass delta changes the
-    purity by at most 2 delta + delta^2 (Cauchy-Schwarz), so |dP| <= about
+    longest run of squared mass at most 1e-30.  For a unit-norm A, dropping
+    rows or columns of squared mass delta changes the purity by at most
+    2 delta + delta^2 (Cauchy-Schwarz), so |dP| <= about
     8e-30, far below one ulp.  The symmetric Gram matrix of the box's
     shorter side W is summed in blocks of 32 rows against the rows from
     there on: O(W^3) work in BLAS-3 products and 32 x W extra memory.

@@ -22,7 +22,7 @@ from fockseries import (
     split,
     truncate,
 )
-from fockseries.entangle import MAX_DIM, _mass_window
+from fockseries.entangle import _BUILD_CELLS, MAX_DIM, _mass_window
 from fockseries.series import normalization_log
 
 # 256-bit oracle pins
@@ -53,6 +53,23 @@ def split_by_antidiagonal(series, setting):
 # (q, k, |alpha|, theta) with |alpha|^2 q^(-2k) <= 72, so D stays below 200
 points = st.tuples(st.floats(0.7, 1.0), st.integers(0, 6), st.floats(0.0, 1.0),
                    st.floats(1e-3, math.pi / 2.0))
+
+
+# (|alpha|, cutoff, theta, D) at (q, k) = (0.5, 3), mostly past the one-block
+# sizes the random points reach: the adaptive D = 221, 461 and 669, the fixed
+# cutoffs 150 and 700, and n_max = 508, whose D = 512 is a whole number of
+# row blocks (while 669 and 704 end in a partial block)
+ROW_BLOCK_CASES = [
+    (1.375, AdaptiveTruncation(), math.pi / 4.0, 221),
+    (2.2, AdaptiveTruncation(), math.pi / 4.0, 461),
+    (2.75, AdaptiveTruncation(), math.pi / 4.0, 669),
+    (2.75, AdaptiveTruncation(), 1e-3, 669),
+    (2.75, AdaptiveTruncation(), 0.3, 669),
+    (2.75, AdaptiveTruncation(), math.pi / 2.0, 669),
+    (5.0, FixedTruncation(n_max=150), math.pi / 4.0, 154),
+    (5.0, FixedTruncation(n_max=700), math.pi / 4.0, 704),
+    (3.0, FixedTruncation(n_max=508), 0.3, 512),
+]
 
 
 def dense_purity(a):
@@ -130,6 +147,30 @@ class TestSplit:
         match = f"q=1.0, k={MAX_DIM}, .alpha.=0.0.*D={MAX_DIM + 1}"
         with pytest.raises(HardCapExceeded, match=match):
             split(series_for(0.0, MAX_DIM, q=1.0))
+
+    @pytest.mark.parametrize("alpha, policy, theta, dim", ROW_BLOCK_CASES)
+    def test_row_blocks_match_antidiagonal_reference_bitwise(self, alpha, policy, theta, dim):
+        series = truncate(penson_solomon_state(alpha, 3, 0.5), policy)
+        setting = BeamSplitterSetting(theta)
+        a = split(series, setting).matrix
+        assert a.shape == (dim, dim)
+        assert a.tobytes() == split_by_antidiagonal(series, setting).tobytes()
+        assert not np.signbit(a).any()
+
+    def test_build_allocates_no_second_matrix(self):
+        """The row blocks share one 2^15-cell scratch buffer, so split's peak
+        is the D x D matrix, that buffer, numpy's ufunc buffers (at most 8192
+        cells for each broadcast operand) and O(D): less than the matrix and
+        two blocks, where half a matrix more would be 1.8 MB at D = 669."""
+        series = series_for(2.75, 3)
+        tracemalloc.start()
+        try:
+            amps = split(series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert amps.matrix.shape == (669, 669)
+        assert peak < amps.matrix.nbytes + 2 * 8 * _BUILD_CELLS
 
 
 class TestSplitProperties:

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -279,11 +280,15 @@ class TestCliExitCodes:
         assert out.exists()
         assert str(out) in capsys.readouterr().out
 
-    def test_bad_arguments_exit_2(self, tmp_path):
+    def test_bad_arguments_exit_2(self, tmp_path, capsys):
         for observable in ("wigner", "distribution", "mean_n"):
             with pytest.raises(SystemExit) as exc:
                 main(["sweep", "--observable", observable, "--out", "x.csv"])
             assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--observable", "mandel_q", "--k", "-1e3", "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert "argument --k: invalid int value: '-1e3'" in capsys.readouterr().err
         code = main(["sweep", "--observable", "mandel_q", "--steps", "1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -302,14 +307,23 @@ class TestCliExitCodes:
         ["--k", "2000001"],
         ["--k", "1" + "0" * 160],
         ["--alpha-max", "inf", "--steps", "3"],
+        ["--alpha-min", "-0.5"],
+        ["--alpha-min", "-1e-05"],
+        ["--alpha-max", "-inf"],
+        ["--theta", "-5e-01"],
+        ["--q", "-1e-3"],
     ])
-    def test_out_of_range_inputs_exit_2(self, tmp_path, args):
+    def test_out_of_range_inputs_exit_2(self, tmp_path, capsys, args):
         """A q whose reciprocal overflows, the n_max, steps and k caps, and a
-        non-finite grid bound are rejected before any weight or grid is
-        allocated."""
+        non-finite or negative grid bound, q or theta are rejected, with the
+        library's message, before any weight or grid is allocated.  A
+        negative value argparse would read as an option (-1e-05, -inf) is
+        attached to its option, so the message names that parameter."""
         out = tmp_path / "x.csv"
         assert main(["sweep", "--observable", "mandel_q", *args, "--out", str(out)]) == 2
         assert not out.exists()
+        name = "n_max" if args[0] == "--policy" else args[0][2:].replace("-", "_")
+        assert re.match(rf"fockseries: .*\b{name}\b", capsys.readouterr().err)
 
     def test_dimension_cap_exit_3(self, tmp_path, capsys):
         code = main(["sweep", "--observable", "linear_entropy", "--k", "50000",
