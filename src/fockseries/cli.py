@@ -3,8 +3,8 @@
 Subcommands: ``sweep`` (one observable over an |alpha| grid) and ``preset``
 (a figure's curve CSVs, manifest and gnuplot script ``plot.gp``).  Exit
 codes: 0 success, 2 bad arguments, 3 numeric failure (adaptive hard cap,
-including a term ratio that overflows, or an entropy dimension past the
-split cap), 4 I/O failure.
+including a term ratio that overflows, or, on the dense entropy path, a
+dimension past the split cap), 4 I/O failure.
 """
 from __future__ import annotations
 

@@ -12,6 +12,18 @@ conventions for the reflected arm multiply each column l by a unit phase,
 which leaves the reduced state's purity unchanged (a tested invariant).
 The entanglement measure is the linear entropy S = 1 - Tr(rho_a^2) of the
 transmitted mode's reduced state.
+
+Every state here is the photon-added coherent state a†^k|beta> with
+beta^2 = x = |alpha|^2 q^(-2k) (Agarwal & Tara, Phys. Rev. A 43, 492
+(1991)), so A has rank k+1: the splitter sends it to
+sum_i u_i a†^i b†^(k-i) |t beta>|r beta>, with u_i = C(k,i) t^i r^(k-i).
+In the Fock basis a†^i|g> is, up to e^(-g^2/2), the vector
+h_i(j) = lam^((j-i)/2) sqrt(j!)/(j-i)! at lam = g^2.  With Phi the Gram
+matrix of h_0..h_k at lam = x t^2, Psi the same at x r^2 and
+M_ii' = u_i u_i' Psi_(k-i, k-i'), the purity is Tr((M Phi)^2)/Tr(M Phi)^2.
+A converged series with k <= 64 takes that path, two (k+1) x (k+1) Grams
+of Fock series over one mode; the rest build the D x D matrix A (``split``)
+and take its purity (``reduced_purity``).
 """
 from __future__ import annotations
 
@@ -22,7 +34,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import HardCapExceeded, InvalidParameter, UnnormalizedInput
-from .series import TruncatedSeries, _ln_factorials, _point, normalization_log
+from .series import (
+    TruncatedSeries,
+    _first_subunit_ratio_index,
+    _ln_factorials,
+    _peak_width,
+    _point,
+    _ratio_constant,
+    normalization_log,
+)
 from .states import StateSpec
 
 # rounding slack on the unit-norm check, in units of eps * log_scale: each log
@@ -36,6 +56,15 @@ MAX_DIM = 8192
 _TRIM_MASS = 1e-30
 _BLOCK = 32  # box rows per Gram product
 _BUILD_CELLS = 1 << 15  # cells per row block of split's build (256 KB)
+# largest k whose converged series take the Gram path: timed against split +
+# reduced_purity at q = 1, it is at most 1.8x slower at k = 64 (D < 120) and 9x
+# faster at D = 1264; at k = 128, 2.7x slower and 4.6x faster
+_GRAM_MAX_K = 64
+# certified tail mass of each Gram column outside its window, relative to the
+# mass inside; Cauchy-Schwarz carries it to every entry
+_GRAM_TOL = 1e-20
+_LN2 = math.log(2.0)
+_ZERO_EXPONENT = -(1 << 30)  # given to zero entries, so no column takes its scale from one
 
 
 @dataclass(frozen=True)
@@ -169,11 +198,106 @@ def reduced_purity(amps: JointAmplitudes) -> float:
     return float(purity)
 
 
+def _fock_gram(ln_lam: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix of the columns h_i, i <= k, at lam = exp(ln_lam), each
+    scaled by lam^(i/2) 2^(-E_i) and all by one positive constant; returns
+    the Gram matrix and the integer exponents E.
+
+    h_i(j) = lam^(-i/2) j(j-1)..(j-i+1) g(j) with g(j)^2 = lam^j / j!.  The
+    logs ln g(j)/g(j0) are summed outward from g's mode j0 = floor(lam) and
+    split into mantissa and power of two, so that no entry under- or
+    overflows at large lam and k; the mantissas are multiplied by j - i one
+    column at a time.  E_i puts each column's largest entry in [1/2, 1): an
+    exact scaling, which the trace ratio does not see.  The window of j is
+    grown until it holds all but _GRAM_TOL of every column's squared mass.
+    The term ratio of h_i(j)^2, lam (j+1)/(j+1-i)^2, falls for j >= i, so
+    the mass above the window's top J1 is at most the top term times
+    rho/(1-rho), rho the ratio at J1, and the mass below its bottom J0 > i
+    at most the bottom term times s/(1-s), s = (J0-i)^2/(lam J0) the ratio
+    down from J0, which falls further down.
+    """
+    lam = math.exp(ln_lam)
+    j0 = int(lam)
+    n_peak = _first_subunit_ratio_index(lam, k)
+    delta = _peak_width(-2.0 * math.log(_GRAM_TOL), n_peak, k)
+    i = np.arange(k + 1.0)
+    while True:
+        lo, hi = max(0, j0 - delta), k + n_peak + delta
+        j = np.arange(lo, hi + 1.0)
+        half_ratio = 0.5 * (ln_lam - np.log(j[1:]))  # ln g(j+1)/g(j)
+        c = j0 - lo
+        ln_g = np.zeros(j.size)
+        np.cumsum(half_ratio[c:], out=ln_g[c + 1:])
+        ln_g[:c] = -np.cumsum(half_ratio[:c][::-1])[::-1]
+        e0 = np.floor(ln_g * (1.0 / _LN2))
+        m = np.empty((k + 1, j.size))
+        e = np.empty((k + 1, j.size), dtype=np.int32)
+        factors, fe = np.frexp(np.maximum(j - i[:k, None], 0.0))
+        m[0] = np.exp(ln_g - e0 * _LN2)
+        np.cumprod(factors, axis=0, out=m[1:])
+        m[1:] *= m[0]
+        e[0] = e0
+        np.cumsum(fe, axis=0, out=e[1:])
+        e[1:] += e[0]
+        del factors, fe  # before frexp copies m: the window can reach 10^4 rows
+        m, de = np.frexp(m)
+        e += de
+        e[m == 0.0] = _ZERO_EXPONENT
+        top = e.max(axis=1)
+        e -= top[:, None]
+        f = np.ldexp(m, e, out=m)
+        gram = f @ f.T
+        mass = gram.diagonal()
+        rho = lam * (hi + 1) / (hi + 1 - i) ** 2
+        ok = np.all((rho < 1.0) & (f[:, -1] ** 2 * rho <= _GRAM_TOL * (1.0 - rho) * mass))
+        if lo > 0:
+            s = (lo - i[:lo]) ** 2 / (lam * lo)
+            ok &= np.all((s < 1.0) & (f[:lo, 0] ** 2 * s <= _GRAM_TOL * (1.0 - s) * mass[:lo]))
+        if ok:
+            return gram, top
+        delta *= 2
+
+
+def _gram_purity(spec: StateSpec, setting: BeamSplitterSetting) -> float:
+    """Tr((M Phi)^2)/Tr(M Phi)^2 from the two Fock Grams (module docstring).
+
+    With the columns scaled as _fock_gram scales them, u_i lam_a^(-i/2)
+    lam_b^(-(k-i)/2) = C(k,i) x^(-k/2): t and r enter only through the
+    Grams, and M's weights are C(k,i) 2^(E_a,i + E_b,k-i), exact up to the
+    rounding of C(k,i), over their largest.  At x = 0, the Fock state |k>,
+    rho_a is diagonal with the binomial weights C(k,i) t^2i r^2(k-i).
+    """
+    k = spec.k
+    t, r = math.cos(setting.theta), math.sin(setting.theta)
+    x = _ratio_constant(spec) if spec.alpha_abs > 0.0 else 0.0
+    comb = np.array([float(math.comb(k, i)) for i in range(k + 1)])
+    if x == 0.0:
+        i = np.arange(k + 1)
+        p = comb * t ** (2 * i) * r ** (2 * (k - i))
+        return float(p @ p / p.sum() ** 2)
+    phi, e_a = _fock_gram(math.log(x) + 2.0 * math.log(t), k)
+    psi, e_b = _fock_gram(math.log(x) + 2.0 * math.log(r), k)
+    mantissa, e_c = np.frexp(comb)
+    e = e_c + e_a + e_b[::-1]
+    u = np.ldexp(mantissa, e - e.max())
+    m_phi = (np.outer(u, u) * psi[::-1, ::-1]) @ phi
+    return float(np.sum(m_phi * m_phi.T) / np.trace(m_phi) ** 2)
+
+
 def linear_entropy(series: TruncatedSeries,
                    setting: BeamSplitterSetting = BeamSplitterSetting(),
                    *,
                    allow_unconverged: bool = False) -> EntanglementResult:
     """S = 1 - Tr(rho_a^2) of the transmitted mode after splitting with vacuum.
+
+    A converged series with k <= 64 takes the purity from the two
+    (k+1) x (k+1) Fock Grams of the photon-added coherent state it
+    truncates (module docstring), with no D x D matrix.  Its S is that of the
+    untruncated state, good to about 1e-15 absolute; ``series`` supplies
+    only the state and the gate.  An unconverged series is not rank k+1 (its
+    cut at m < D does not factor), and past k = 64 the Gram path no longer
+    pays (see _GRAM_MAX_K): both take ``split`` and ``reduced_purity``, whose
+    dimension cap can refuse them.
 
     S is clamped at 0: a pure reduced state's purity can round a few ulps
     above 1.  ``purity`` keeps the raw value.  An unconverged series (a
@@ -183,5 +307,10 @@ def linear_entropy(series: TruncatedSeries,
     if not series.converged and not allow_unconverged:
         raise InvalidParameter(
             "series is not converged; pass allow_unconverged=True to propagate it anyway")
-    purity = reduced_purity(split(series, setting))
+    if not isinstance(setting, BeamSplitterSetting):
+        raise InvalidParameter("setting must be a BeamSplitterSetting")
+    if series.converged and series.spec.k <= _GRAM_MAX_K:
+        purity = _gram_purity(series.spec, setting)
+    else:
+        purity = reduced_purity(split(series, setting))
     return EntanglementResult(purity=purity, linear_entropy=max(1.0 - purity, 0.0))

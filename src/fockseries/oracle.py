@@ -16,7 +16,10 @@ truncated.  With m the photon number:
   S = 1 - Tr((R Phi)^2) / Tr(R Phi)^2.
 
 Every term is nonnegative and the factors e^(-x) cancel from each ratio.
-None of this shares a formula with the double-precision modules, so any
+The double-precision entropy path for converged series rests on the same
+rank-(k+1) split and trace ratio, but sums each Gram entry as a Fock series
+in floating point; the Laguerre values, the normal-ordered closed forms and
+the Q path share no formula with the double-precision modules, so any
 disagreement with them localizes the bug.
 """
 from __future__ import annotations

@@ -229,6 +229,12 @@ def _first_subunit_ratio_index(c: float, k: int) -> int:
     return n
 
 
+def _peak_width(z2: float, n_peak: int, k: int) -> int:
+    """Terms past the peak n_peak of w_n ∝ c^n (n+k)!/(n!)^2 that cover
+    s z + z^2/6, with s the peak's width, Poisson-like skew and z^2 = z2."""
+    return 4 + int(math.sqrt(z2 / (2.0 / (n_peak + 1) - 1.0 / (n_peak + k + 1))) + z2 / 6.0)
+
+
 def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
     """Evaluate log-weights under the given truncation policy.
 
@@ -278,11 +284,11 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
     # the vacuum).  Chunks give one-term-at-a-time IEEE values: math.lgamma for
     # the tail's ln n! and ln (n+k)! (_lgamma_factorials), math.exp (not
     # np.exp), the scalar step through the last new maximum (it rescales) and a
-    # seeded cumsum.  The first chunk covers s z + z^2/6 past the peak (width
-    # s, Poisson-like skew, z^2 = 2 ln(1/rel_tol)); then x2.
+    # seeded cumsum.  The first chunk is _peak_width at z^2 = 2 ln(1/rel_tol);
+    # then x2.
     tail, lo, n0, m, scaled_sum = [], 0, n_peak, -math.inf, 0.0
     z2 = -2.0 * math.log(policy.rel_tol)  # 1/rel_tol overflows for a subnormal rel_tol
-    width = 4 + int(math.sqrt(z2 / (2.0 / (n_peak + 1) - 1.0 / (n_peak + k + 1))) + z2 / 6.0)
+    width = _peak_width(z2, n_peak, k)
     while n0 <= DEFAULT_HARD_CAP:
         w = min(width, DEFAULT_HARD_CAP + 1 - n0)
         lf_nk, lf_n = _lgamma_factorials(n0 + k, n0 + w + k), _lgamma_factorials(n0, n0 + w)

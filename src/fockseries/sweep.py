@@ -26,8 +26,7 @@ from .states import penson_solomon_state
 OBSERVABLES = ("mandel_q", "linear_entropy")
 
 # default (alpha_min, alpha_max, steps): the paper's full |alpha| range for
-# both observables (the purity is O(W^3) in the side W of the joint matrix's
-# mass box, about 640 at D=1923)
+# both observables
 DEFAULT_GRID = (0.0, 5.0, 201)
 # the grid is materialized before any point is evaluated
 MAX_STEPS = 100_000

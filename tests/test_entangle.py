@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from fockseries import (
     split,
     truncate,
 )
-from fockseries.entangle import _BUILD_CELLS, MAX_DIM, _mass_window
+import fockseries.entangle as entangle
+from fockseries.entangle import _BUILD_CELLS, _GRAM_MAX_K, MAX_DIM, _mass_window
+from fockseries.oracle import oracle_entropy
 from fockseries.series import normalization_log
 
 # 256-bit oracle pins
@@ -336,3 +339,83 @@ class TestLinearEntropy:
         result = linear_entropy(series_for(0.5, 1), setting=BeamSplitterSetting(0.7))
         assert 0.0 < result.purity <= 1.0
         assert 0.0 <= result.linear_entropy < 1.0
+
+
+def dense_entropy(series, setting=BeamSplitterSetting()):
+    return 1.0 - reduced_purity(split(series, setting))
+
+
+class TestGramPath:
+    """A converged series with k <= _GRAM_MAX_K takes S from two (k+1) x (k+1)
+    Fock Gram matrices; the rest take split and reduced_purity."""
+
+    @pytest.mark.parametrize("q, k, theta", [
+        (0.5, 1, math.pi / 4.0), (0.5, 3, math.pi / 4.0), (0.8, 4, math.pi / 4.0),
+        (0.8, 8, math.pi / 4.0), (0.5, 3, 1e-3), (0.5, 3, 0.3), (0.5, 3, math.pi / 2.0)])
+    def test_matches_the_oracle(self, q, k, theta):
+        setting = BeamSplitterSetting(theta)
+        for alpha in np.linspace(0.0, 5.0, 21):
+            spec = penson_solomon_state(float(alpha), k, q)
+            s = linear_entropy(truncate(spec, AdaptiveTruncation()), setting).linear_entropy
+            assert abs(s - float(oracle_entropy(spec, setting).linear_entropy)) <= 1e-15
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_fock_value_at_zero_alpha(self, k):
+        """1 - C(2k,k)/4^k at a 50:50 splitter."""
+        s = linear_entropy(series_for(0.0, k)).linear_entropy
+        assert abs(s - (1.0 - math.comb(2 * k, k) / 4.0 ** k)) <= 1e-15
+
+    def test_builds_no_joint_matrix(self, monkeypatch):
+        """At q=0.3, k=5, |alpha|=1 the dense D would be 172521."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("split called")
+        monkeypatch.setattr(entangle, "split", refuse)
+        for k in (0, 5, _GRAM_MAX_K):
+            series = truncate(penson_solomon_state(1.0, k, 0.3 if k == 5 else 1.0),
+                              AdaptiveTruncation())
+            assert 0.0 <= linear_entropy(series).linear_entropy < 1.0
+
+    def test_dense_path_for_unconverged_series_and_large_k(self):
+        fixed = truncate(penson_solomon_state(3.0, 3, 0.5), FixedTruncation(n_max=100))
+        past = series_for(0.5, _GRAM_MAX_K + 1, q=1.0)
+        assert not fixed.converged and past.converged
+        for series in (fixed, past):
+            result = linear_entropy(series, allow_unconverged=True)
+            assert result.purity == reduced_purity(split(series))
+
+    @pytest.mark.parametrize("alpha", [0.5, 5.0])
+    def test_both_paths_agree_at_the_crossover(self, alpha):
+        series = series_for(alpha, _GRAM_MAX_K, q=1.0)
+        assert abs(linear_entropy(series).linear_entropy - dense_entropy(series)) <= 1e-11
+
+    @settings(max_examples=60, deadline=None)
+    @given(points)
+    def test_agrees_with_the_dense_path(self, point):
+        q, k, alpha, theta = point
+        series = series_for(alpha, k, q)
+        setting = BeamSplitterSetting(theta)
+        gram = linear_entropy(series, setting).linear_entropy
+        assert abs(gram - max(dense_entropy(series, setting), 0.0)) <= 1e-12
+
+    @pytest.mark.parametrize("q, k, alpha, theta", [
+        (0.5, 3, 170.0, math.pi / 4.0),   # x = 1.85e6, near truncate's hard cap
+        (1.0, 0, 1400.0, 0.3),            # x = 1.96e6
+        (0.9, _GRAM_MAX_K, 1.6, 1e-3),    # x = 1.8e6 at the largest Gram k
+        (1.0, 3, 1e-160, math.pi / 2.0),  # x = 1e-320, subnormal
+        (1.0, 3, 2.0, 1e-300),            # r^2 underflows
+        (0.5, 3, 1e-200, math.pi / 4.0),  # x underflows to 0: the Fock value
+    ])
+    def test_no_runtime_warning_at_the_extremes(self, q, k, alpha, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = linear_entropy(series_for(alpha, k, q), BeamSplitterSetting(theta)).linear_entropy
+        assert 0.0 <= s < 1.0
+
+    def test_window_grows_until_certified(self, monkeypatch):
+        """A first window far too narrow is doubled until every column's tail
+        bound passes, and S comes out as from the usual window."""
+        setting = BeamSplitterSetting(0.3)
+        series = series_for(2.0, 3)
+        expected = linear_entropy(series, setting).linear_entropy
+        monkeypatch.setattr(entangle, "_peak_width", lambda z2, n_peak, k: 1)
+        assert abs(linear_entropy(series, setting).linear_entropy - expected) <= 1e-16

@@ -29,7 +29,8 @@ from fockseries import (
     truncate,
 )
 from fockseries.cli import main
-from fockseries.sweep import MAX_STEPS, policy_label
+from fockseries.oracle import oracle_entropy
+from fockseries.sweep import MAX_STEPS, PRESETS, policy_label
 
 from curve_csv import read_curve_csv
 
@@ -333,6 +334,17 @@ class TestCliExitCodes:
         assert err.startswith("fockseries: numeric failure: ")
         assert "q=1.0" in err and "k=50000" in err and "|alpha|=0.0" in err and "D=50001" in err
 
+    def test_entropy_past_the_split_cap_exit_0(self, tmp_path):
+        """At q=0.3, k=5 the dense path would need D = 9302 by |alpha| = 0.3
+        and 172521 at |alpha| = 1; converged series take the Gram path."""
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--observable", "linear_entropy", "--q", "0.3", "--k", "5",
+                     "--alpha-max", "1", "--steps", "11", "--out", str(out)]) == 0
+        _, rows = read_curve_csv(out)
+        assert len(rows) == 11 and all(r["converged"] == "true" for r in rows)
+        ref = float(oracle_entropy(penson_solomon_state(1.0, 5, 0.3)).linear_entropy)
+        assert rows[-1]["alpha"] == "1.0" and abs(float(rows[-1]["value"]) - ref) <= 1e-12
+
     @pytest.mark.parametrize("tol", ["1e-320", "5e-324"])
     def test_subnormal_tolerance_exit_0(self, tmp_path, tol):
         """A subnormal rel_tol has no finite reciprocal; the tail still runs."""
@@ -500,3 +512,30 @@ class TestCliExitCodeProperties:
         self.check(["--observable", "linear_entropy", "--q", repr(q), "--k", str(k),
                     "--alpha-min", repr(lo), "--alpha-max", repr(hi), "--steps", str(steps),
                     "--policy", policy, "--theta", repr(theta)])
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+class TestPresetExitCodeProperties:
+    """Any preset input ends in a documented exit code, creates --out-dir if
+    and only if it succeeds, and writes the same bytes when repeated."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(name=mostly(st.sampled_from(sorted(PRESETS)), st.text(max_size=8)),
+           grid=grids(5.0, st.floats()), steps=steps)
+    @example(name="fig2", grid=(0.0, 2000.0), steps=3)  # the adaptive curve's hard cap
+    def test_preset(self, name, grid, steps):
+        lo, hi = grid
+        args = ["preset", "--name", name, "--alpha-min", repr(lo), "--alpha-max", repr(hi),
+                "--steps", str(steps), "--out-dir"]
+        with tempfile.TemporaryDirectory() as tmp:
+            out, again = Path(tmp) / "out", Path(tmp) / "again"
+            code = exit_code([*args, str(out)])
+            assert code in (0, 2, 3, 4)
+            assert out.exists() == (code == 0)
+            if code == 0:
+                assert exit_code([*args, str(again)]) == 0
+                assert tree_bytes(again) == tree_bytes(out)
