@@ -27,6 +27,7 @@ and take its purity (``reduced_purity``).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,14 +58,15 @@ _TRIM_MASS = 1e-30
 _BLOCK = 32  # box rows per Gram product
 _BUILD_CELLS = 1 << 15  # cells per row block of split's build (256 KB)
 # largest k whose converged series take the Gram path: timed against split +
-# reduced_purity at q = 1, it is at most 1.8x slower at k = 64 (D < 120) and 9x
-# faster at D = 1264; at k = 128, 2.7x slower and 4.6x faster
+# reduced_purity at q = 1, it is at most 1.05x slower at k = 64 (D < 120) and
+# 15x faster at D = 1264; at k = 128, 1.8x slower and 6.7x faster
 _GRAM_MAX_K = 64
 # certified tail mass of each Gram column outside its window, relative to the
 # mass inside; Cauchy-Schwarz carries it to every entry
 _GRAM_TOL = 1e-20
 _LN2 = math.log(2.0)
-_ZERO_EXPONENT = -(1 << 30)  # given to zero entries, so no column takes its scale from one
+# exponent of a zero factor: no column takes its scale from a zero entry, and 2000 fit int32
+_ZERO_EXPONENT = -(1 << 20)
 
 
 @dataclass(frozen=True)
@@ -206,56 +208,65 @@ def _fock_gram(ln_lam: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     h_i(j) = lam^(-i/2) j(j-1)..(j-i+1) g(j) with g(j)^2 = lam^j / j!.  The
     logs ln g(j)/g(j0) are summed outward from g's mode j0 = floor(lam) and
     split into mantissa and power of two, so that no entry under- or
-    overflows at large lam and k; the mantissas are multiplied by j - i one
-    column at a time.  E_i puts each column's largest entry in [1/2, 1): an
-    exact scaling, which the trace ratio does not see.  The window of j is
-    grown until it holds all but _GRAM_TOL of every column's squared mass.
-    The term ratio of h_i(j)^2, lam (j+1)/(j+1-i)^2, falls for j >= i, so
-    the mass above the window's top J1 is at most the top term times
-    rho/(1-rho), rho the ratio at J1, and the mass below its bottom J0 > i
-    at most the bottom term times s/(1-s), s = (J0-i)^2/(lam J0) the ratio
-    down from J0, which falls further down.
+    overflows at large lam and k.  One frexp splits the integers n = j - i:
+    row by row, the mantissas multiply (those of the factors, then g's) and
+    the exponents add, as differences of one running sum.  E_i puts each
+    column's largest entry in [1/2, 1): an exact scaling, which the trace
+    ratio does not see.  The window of j is grown until it holds all but
+    _GRAM_TOL of every column's squared mass.  The term ratio of h_i(j)^2,
+    lam (j+1)/(j+1-i)^2, falls for j >= i, so the mass above the window's top
+    J1 is at most the top term times rho/(1-rho), rho the ratio at J1, and the
+    mass below its bottom J0 > i at most the bottom term times s/(1-s),
+    s = (J0-i)^2/(lam J0) the ratio down from J0, which falls further down.
     """
     lam = math.exp(ln_lam)
     j0 = int(lam)
     n_peak = _first_subunit_ratio_index(lam, k)
     delta = _peak_width(-2.0 * math.log(_GRAM_TOL), n_peak, k)
-    i = np.arange(k + 1.0)
     while True:
         lo, hi = max(0, j0 - delta), k + n_peak + delta
-        j = np.arange(lo, hi + 1.0)
-        half_ratio = 0.5 * (ln_lam - np.log(j[1:]))  # ln g(j+1)/g(j)
-        c = j0 - lo
-        ln_g = np.zeros(j.size)
-        np.cumsum(half_ratio[c:], out=ln_g[c + 1:])
-        ln_g[:c] = -np.cumsum(half_ratio[:c][::-1])[::-1]
-        e0 = np.floor(ln_g * (1.0 / _LN2))
-        m = np.empty((k + 1, j.size))
-        e = np.empty((k + 1, j.size), dtype=np.int32)
-        factors, fe = np.frexp(np.maximum(j - i[:k, None], 0.0))
-        m[0] = np.exp(ln_g - e0 * _LN2)
-        np.cumprod(factors, axis=0, out=m[1:])
+        width, c = hi + 1 - lo, j0 - lo
+        n = np.arange(lo - k, hi + 1.0)  # the factors j - i, i < k; n[k:] is j
+        fm, fe = np.frexp(n)
+        z = max(0, k + 1 - lo)  # n <= 0: a zero factor, whose entries stay 0
+        fm[:z], fe[:z] = 0.0, _ZERO_EXPONENT
+        np.add.accumulate(fe, out=fe)  # np.cumsum without its Python-level dispatch
+        half_ratio = 0.5 * (ln_lam - np.log(n[k + 1:]))  # ln g(j+1)/g(j)
+        ln_g = np.zeros(width)
+        np.add.accumulate(half_ratio[c:], out=ln_g[c + 1:])
+        ln_g[:c] = -np.add.accumulate(half_ratio[:c][::-1])[::-1]
+        m = np.empty((k + 1, width))
+        e = np.empty((k + 1, width), dtype=np.int32)
+        e[0] = np.floor(ln_g * (1.0 / _LN2))
+        np.exp(ln_g - e[0] * _LN2, out=m[0])
+        # fe holds running sums; row i of this (int32) Hankel view of it is fe[k-i:][:width]
+        np.subtract(fe[k:] + e[0], np.ndarray((k + 1, width), np.int32, fe, 4 * k, (-4, 4)), out=e)
+        m[1:2] = fm[k:]  # row 1, empty at k = 0
+        for r in range(1, k):
+            np.multiply(m[r], fm[k - r:k - r + width], out=m[r + 1])
         m[1:] *= m[0]
-        e[0] = e0
-        np.cumsum(fe, axis=0, out=e[1:])
-        e[1:] += e[0]
-        del factors, fe  # before frexp copies m: the window can reach 10^4 rows
-        m, de = np.frexp(m)
+        _, de = np.frexp(m, out=(m, None))
         e += de
-        e[m == 0.0] = _ZERO_EXPONENT
-        top = e.max(axis=1)
-        e -= top[:, None]
-        f = np.ldexp(m, e, out=m)
+        top = np.maximum.reduce(e, axis=1)
+        f = np.ldexp(m, e - top[:, None], out=m)
         gram = f @ f.T
-        mass = gram.diagonal()
-        rho = lam * (hi + 1) / (hi + 1 - i) ** 2
-        ok = np.all((rho < 1.0) & (f[:, -1] ** 2 * rho <= _GRAM_TOL * (1.0 - rho) * mass))
-        if lo > 0:
-            s = (lo - i[:lo]) ** 2 / (lam * lo)
-            ok &= np.all((s < 1.0) & (f[:lo, 0] ** 2 * s <= _GRAM_TOL * (1.0 - s) * mass[:lo]))
-        if ok:
+        ratios = ([lam * (hi + 1) / ((hi + 1 - i) * (hi + 1 - i)) for i in range(k + 1)]
+                  + [(lo - i) * (lo - i) / (lam * lo) for i in range(min(lo, k + 1))])
+        ends = f[:, -1].tolist() + f[:lo, 0].tolist()  # rho for each i, then s for i < lo
+        if all(r < 1.0 and y * y * r <= _GRAM_TOL * (1.0 - r) * w
+               for r, y, w in zip(ratios, ends, gram.diagonal().tolist() * 2)):
             return gram, top
         delta *= 2
+
+
+@functools.lru_cache(maxsize=_GRAM_MAX_K + 1)
+def _binomials(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only C(k,i), i <= k, as floats, and their frexp mantissas and exponents."""
+    comb = np.array([float(math.comb(k, i)) for i in range(k + 1)])
+    arrays = (comb, *np.frexp(comb))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _gram_purity(spec: StateSpec, setting: BeamSplitterSetting) -> float:
@@ -270,18 +281,17 @@ def _gram_purity(spec: StateSpec, setting: BeamSplitterSetting) -> float:
     k = spec.k
     t, r = math.cos(setting.theta), math.sin(setting.theta)
     x = _ratio_constant(spec) if spec.alpha_abs > 0.0 else 0.0
-    comb = np.array([float(math.comb(k, i)) for i in range(k + 1)])
+    comb, mantissa, e_c = _binomials(k)
     if x == 0.0:
         i = np.arange(k + 1)
         p = comb * t ** (2 * i) * r ** (2 * (k - i))
         return float(p @ p / p.sum() ** 2)
     phi, e_a = _fock_gram(math.log(x) + 2.0 * math.log(t), k)
     psi, e_b = _fock_gram(math.log(x) + 2.0 * math.log(r), k)
-    mantissa, e_c = np.frexp(comb)
     e = e_c + e_a + e_b[::-1]
     u = np.ldexp(mantissa, e - e.max())
-    m_phi = (np.outer(u, u) * psi[::-1, ::-1]) @ phi
-    return float(np.sum(m_phi * m_phi.T) / np.trace(m_phi) ** 2)
+    m_phi = (np.multiply.outer(u, u) * psi[::-1, ::-1]) @ phi
+    return float((m_phi * m_phi.T).sum() / m_phi.trace() ** 2)
 
 
 def linear_entropy(series: TruncatedSeries,

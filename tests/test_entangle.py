@@ -24,9 +24,16 @@ from fockseries import (
     truncate,
 )
 import fockseries.entangle as entangle
-from fockseries.entangle import _BUILD_CELLS, _GRAM_MAX_K, MAX_DIM, _mass_window
+from fockseries.entangle import (
+    _BUILD_CELLS,
+    _GRAM_MAX_K,
+    _GRAM_TOL,
+    _LN2,
+    MAX_DIM,
+    _mass_window,
+)
 from fockseries.oracle import oracle_entropy
-from fockseries.series import normalization_log
+from fockseries.series import _first_subunit_ratio_index, _ratio_constant, normalization_log
 
 # 256-bit oracle pins
 S_Q05_K1_A05 = 0.125                    # exact
@@ -345,6 +352,112 @@ def dense_entropy(series, setting=BeamSplitterSetting()):
     return 1.0 - reduced_purity(split(series, setting))
 
 
+def reference_fock_gram(ln_lam, k):
+    """_fock_gram as first written, one numpy call per step over whole
+    (k, W) arrays (np.cumprod and np.cumsum down the columns) and a numpy
+    tail test: the reference its row recurrences must equal bit for bit."""
+    lam = math.exp(ln_lam)
+    j0 = int(lam)
+    n_peak = _first_subunit_ratio_index(lam, k)
+    delta = entangle._peak_width(-2.0 * math.log(_GRAM_TOL), n_peak, k)
+    i = np.arange(k + 1.0)
+    while True:
+        lo, hi = max(0, j0 - delta), k + n_peak + delta
+        j = np.arange(lo, hi + 1.0)
+        half_ratio = 0.5 * (ln_lam - np.log(j[1:]))  # ln g(j+1)/g(j)
+        c = j0 - lo
+        ln_g = np.zeros(j.size)
+        np.cumsum(half_ratio[c:], out=ln_g[c + 1:])
+        ln_g[:c] = -np.cumsum(half_ratio[:c][::-1])[::-1]
+        e0 = np.floor(ln_g * (1.0 / _LN2))
+        m = np.empty((k + 1, j.size))
+        e = np.empty((k + 1, j.size), dtype=np.int32)
+        factors, fe = np.frexp(np.maximum(j - i[:k, None], 0.0))
+        m[0] = np.exp(ln_g - e0 * _LN2)
+        np.cumprod(factors, axis=0, out=m[1:])
+        m[1:] *= m[0]
+        e[0] = e0
+        np.cumsum(fe, axis=0, out=e[1:])
+        e[1:] += e[0]
+        del factors, fe  # before frexp copies m: the window can reach 10^4 rows
+        m, de = np.frexp(m)
+        e += de
+        e[m == 0.0] = -(1 << 30)  # so no column takes its scale from a zero entry
+        top = e.max(axis=1)
+        e -= top[:, None]
+        f = np.ldexp(m, e, out=m)
+        gram = f @ f.T
+        mass = gram.diagonal()
+        rho = lam * (hi + 1) / (hi + 1 - i) ** 2
+        ok = np.all((rho < 1.0) & (f[:, -1] ** 2 * rho <= _GRAM_TOL * (1.0 - rho) * mass))
+        if lo > 0:
+            s = (lo - i[:lo]) ** 2 / (lam * lo)
+            ok &= np.all((s < 1.0) & (f[:lo, 0] ** 2 * s <= _GRAM_TOL * (1.0 - s) * mass[:lo]))
+        if ok:
+            return gram, top
+        delta *= 2
+
+
+def reference_gram_purity(spec, setting):
+    """_gram_purity as first written, over reference_fock_gram."""
+    k = spec.k
+    t, r = math.cos(setting.theta), math.sin(setting.theta)
+    x = _ratio_constant(spec) if spec.alpha_abs > 0.0 else 0.0
+    comb = np.array([float(math.comb(k, i)) for i in range(k + 1)])
+    if x == 0.0:
+        i = np.arange(k + 1)
+        p = comb * t ** (2 * i) * r ** (2 * (k - i))
+        return float(p @ p / p.sum() ** 2)
+    phi, e_a = reference_fock_gram(math.log(x) + 2.0 * math.log(t), k)
+    psi, e_b = reference_fock_gram(math.log(x) + 2.0 * math.log(r), k)
+    mantissa, e_c = np.frexp(comb)
+    e = e_c + e_a + e_b[::-1]
+    u = np.ldexp(mantissa, e - e.max())
+    m_phi = (np.outer(u, u) * psi[::-1, ::-1]) @ phi
+    return float(np.sum(m_phi * m_phi.T) / np.trace(m_phi) ** 2)
+
+
+# (q, k, |alpha|, theta) at the ends of the Gram path's range
+GRAM_EXTREMES = [
+    (0.5, 3, 170.0, math.pi / 4.0),   # x = 1.85e6, near truncate's hard cap
+    (1.0, 0, 1400.0, 0.3),            # x = 1.96e6
+    (0.9, _GRAM_MAX_K, 1.6, 1e-3),    # x = 1.8e6 at the largest Gram k
+    (1.0, 3, 1e-160, math.pi / 2.0),  # x = 1e-320, subnormal
+    (1.0, 3, 2.0, 1e-300),            # r^2 underflows
+    (0.5, 3, 1e-200, math.pi / 4.0),  # x underflows to 0: the Fock value
+]
+
+
+def gram_grid():
+    """Seeded (q, k, |alpha|, theta): two draws of q in [0.3, 1] and |alpha| in
+    [0, 3] for each k and theta, redrawn while x = |alpha|^2 q^(-2k) passes
+    2e6, beyond which truncate refuses the state before the Gram path."""
+    rng = np.random.default_rng(19)
+    grid = []
+    for k in (0, 1, 3, 8, 16, 32, _GRAM_MAX_K):
+        for theta in (math.pi / 4.0, 1e-3, 0.3, math.pi / 2.0):
+            draws = []
+            while len(draws) < 2:
+                q, alpha = float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.0, 3.0))
+                if alpha * alpha * q ** (-2 * k) <= 2e6:
+                    draws.append((q, k, alpha, theta))
+            grid += draws
+    return grid
+
+
+def assert_same_gram_bits(spec, setting):
+    """_gram_purity and both its _fock_gram calls equal the references bit for bit."""
+    assert entangle._gram_purity(spec, setting) == reference_gram_purity(spec, setting)
+    x = _ratio_constant(spec) if spec.alpha_abs > 0.0 else 0.0
+    if x > 0.0:
+        for g in (math.cos(setting.theta), math.sin(setting.theta)):
+            ln_lam = math.log(x) + 2.0 * math.log(g)
+            gram, top = entangle._fock_gram(ln_lam, spec.k)
+            ref_gram, ref_top = reference_fock_gram(ln_lam, spec.k)
+            assert gram.tobytes() == ref_gram.tobytes()
+            assert top.dtype == ref_top.dtype and top.tobytes() == ref_top.tobytes()
+
+
 class TestGramPath:
     """A converged series with k <= _GRAM_MAX_K takes S from two (k+1) x (k+1)
     Fock Gram matrices; the rest take split and reduced_purity."""
@@ -397,14 +510,7 @@ class TestGramPath:
         gram = linear_entropy(series, setting).linear_entropy
         assert abs(gram - max(dense_entropy(series, setting), 0.0)) <= 1e-12
 
-    @pytest.mark.parametrize("q, k, alpha, theta", [
-        (0.5, 3, 170.0, math.pi / 4.0),   # x = 1.85e6, near truncate's hard cap
-        (1.0, 0, 1400.0, 0.3),            # x = 1.96e6
-        (0.9, _GRAM_MAX_K, 1.6, 1e-3),    # x = 1.8e6 at the largest Gram k
-        (1.0, 3, 1e-160, math.pi / 2.0),  # x = 1e-320, subnormal
-        (1.0, 3, 2.0, 1e-300),            # r^2 underflows
-        (0.5, 3, 1e-200, math.pi / 4.0),  # x underflows to 0: the Fock value
-    ])
+    @pytest.mark.parametrize("q, k, alpha, theta", GRAM_EXTREMES)
     def test_no_runtime_warning_at_the_extremes(self, q, k, alpha, theta):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -419,3 +525,31 @@ class TestGramPath:
         expected = linear_entropy(series, setting).linear_entropy
         monkeypatch.setattr(entangle, "_peak_width", lambda z2, n_peak, k: 1)
         assert abs(linear_entropy(series, setting).linear_entropy - expected) <= 1e-16
+
+    @pytest.mark.parametrize("q, k, alpha, theta", gram_grid())
+    def test_matches_the_reference_bitwise(self, q, k, alpha, theta):
+        assert_same_gram_bits(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
+
+    @pytest.mark.parametrize("q, k, alpha, theta", GRAM_EXTREMES)
+    def test_matches_the_reference_bitwise_at_the_extremes(self, q, k, alpha, theta):
+        assert_same_gram_bits(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
+
+    @pytest.mark.parametrize("q, k, alpha, theta", [
+        (0.5, 3, 2.0, 0.3), (1.0, 0, 1.5, math.pi / 4.0), (0.8, 8, 1.0, 1e-3),
+        (0.95, 32, 2.5, math.pi / 2.0)])
+    def test_matches_the_reference_bitwise_through_doubling(self, monkeypatch, q, k, alpha, theta):
+        """Both read _peak_width at call time, so both start from a width of 1."""
+        monkeypatch.setattr(entangle, "_peak_width", lambda z2, n_peak, k: 1)
+        assert_same_gram_bits(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
+
+    def test_largest_window_memory(self):
+        """(0.9, 64, 1.6) at theta = 1e-3 builds the largest Gram window, 26000
+        rows by 65 columns: no more than three (k+1) x W arrays live at once."""
+        series = series_for(1.6, _GRAM_MAX_K, q=0.9)
+        tracemalloc.start()
+        try:
+            linear_entropy(series, BeamSplitterSetting(1e-3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20
