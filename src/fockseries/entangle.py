@@ -32,16 +32,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import HardCapExceeded, InvalidParameter, UnnormalizedInput
 from .series import (
     TruncatedSeries,
     _first_subunit_ratio_index,
-    _ln_factorials,
     _peak_width,
     _point,
     _ratio_constant,
+    _sum_outward,
     normalization_log,
 )
 from .states import StateSpec
@@ -136,11 +135,11 @@ def split(series: TruncatedSeries,
     ln_r = math.log(math.sin(setting.theta))
 
     # Hankel views lg_m[j, l] = ln (j+l)! and ln_c_m[j, l] = ln c_{j+l}
-    lg = _ln_factorials(2 * dim - 1)
+    lg = np.fromiter(map(math.lgamma, range(1, 2 * dim)), np.float64, 2 * dim - 1)
     ln_c_pad = np.full(2 * dim - 1, -np.inf)
     ln_c_pad[k:dim] = ln_c
-    lg_m = sliding_window_view(lg, dim)
-    ln_c_m = sliding_window_view(ln_c_pad, dim)
+    lg_m = np.ndarray((dim, dim), np.float64, lg, 0, (8, 8))
+    ln_c_m = np.ndarray((dim, dim), np.float64, ln_c_pad, 0, (8, 8))
 
     rows = max(1, _BUILD_CELLS // dim)
     buf = np.empty(min(rows, dim) * dim)
@@ -231,10 +230,7 @@ def _fock_gram(ln_lam: float, k: int) -> tuple[np.ndarray, np.ndarray]:
         z = max(0, k + 1 - lo)  # n <= 0: a zero factor, whose entries stay 0
         fm[:z], fe[:z] = 0.0, _ZERO_EXPONENT
         np.add.accumulate(fe, out=fe)  # np.cumsum without its Python-level dispatch
-        half_ratio = 0.5 * (ln_lam - np.log(n[k + 1:]))  # ln g(j+1)/g(j)
-        ln_g = np.zeros(width)
-        np.add.accumulate(half_ratio[c:], out=ln_g[c + 1:])
-        ln_g[:c] = -np.add.accumulate(half_ratio[:c][::-1])[::-1]
+        ln_g = _sum_outward(0.5 * (ln_lam - np.log(n[k + 1:])), c)  # from ln g(j+1)/g(j)
         m = np.empty((k + 1, width))
         e = np.empty((k + 1, width), dtype=np.int32)
         e[0] = np.floor(ln_g * (1.0 / _LN2))

@@ -5,8 +5,7 @@ The state's photon distribution over |n+k> is proportional to
     w_n = |alpha|^(2n) * [f^2(n+k)]! * (n+k)! / ((n!)^2 * [f^2(n)]!),
 
 an entire series whose terms span thousands of orders of magnitude, so all
-weights are kept as natural logs and every accumulation is a log-sum-exp
-pivoted at the running maximum term.  For the Penson-Solomon deformation the
+weights are kept as natural logs.  For the Penson-Solomon deformation the
 deformed factorial has the closed form [f^2(m)]! = q^(-m(m-1)), giving
 
     ln w_n = 2n ln|alpha| + lnGamma(n+k+1) - 2 lnGamma(n+1)
@@ -14,13 +13,15 @@ deformed factorial has the closed form [f^2(m)]! = q^(-m(m-1)), giving
 
 Successive-term ratios are available exactly (no log round-trip) as
 
-    w_{n+1}/w_n = |alpha|^2 q^(-2k) (n+k+1)/(n+1)^2,
+    w_{n+1}/w_n = c (n+k+1)/(n+1)^2,   c = |alpha|^2 q^(-2k),
 
 which is strictly decreasing in n, so once it drops below 1 the neglected
-tail is bounded by the geometric sum next-term/(1 - ratio).  Adaptive
-truncation stops once that bound is below the requested tolerance, keeping
-two terms at least, and takes the terms in numpy chunks, bit for bit as one at
-a time, with ln n! past the peak from a cached math.lgamma table.
+tail is bounded by the geometric sum next-term/(1 - ratio).  A series is
+evaluated as ln(w_n/w_a) for an anchor a at its largest term: the sum of the
+log-ratios ln c + ln(n+k+1) - 2 ln(n+1), outward from a in both directions,
+so no large log is rounded before the ratios are taken.  One log_weight call
+at a makes them absolute.  Adaptive truncation stops once the bound is below
+the requested tolerance, keeping two terms at least.
 """
 from __future__ import annotations
 
@@ -35,20 +36,6 @@ from .errors import HardCapExceeded, InvalidParameter
 from .states import DEFAULT_HARD_CAP, StateSpec
 
 DEFAULT_REL_TOL = 1e-14
-
-# cephes lgam, the log-gamma behind gammaln, for x >= 13: ln sqrt(2 pi)
-# and the Stirling series in 1/x^2, 5 terms below x = 1000 and 3 from there
-_LS2PI = 0.91893853320467274178
-_STIRLING_5 = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
-               7.93650340457716943945e-4, -2.77777777730099687205e-3,
-               8.33333333333331927722e-2)
-_STIRLING_3 = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
-               0.0833333333333333333333)
-# largest ln m! table any caller needs: ln (k + n)! with k, n <= the cap
-_LN_FACT_CAP = 2 * DEFAULT_HARD_CAP + 2
-_ln_fact = np.empty(0)  # read-only; rebound when it grows, never written
-_CHUNK = 1 << 16
-_lgam = np.empty(0)  # math.lgamma(m + 1) for m < its size; read-only like _ln_fact
 
 
 @dataclass(frozen=True)
@@ -108,52 +95,6 @@ class PhotonStatistics:
     mandel_q: float | None  # None for the vacuum (mean 0)
 
 
-def _build_ln_factorials(size: int) -> np.ndarray:
-    """ln m! for m < size as cephes lgam(m + 1) computes it: the log of the
-    exact product m! below m = 12, Stirling's series in x = m + 1 above,
-    built in chunks so the temporaries stay small next to the table."""
-    table = np.empty(size)
-    table[:12] = [math.log(math.factorial(m)) for m in range(min(size, 12))]
-    edges = [12, *range(999, size, _CHUNK), size]  # x = 1000 opens a chunk
-    for lo, hi in zip(edges, edges[1:]):
-        x = np.arange(lo + 1.0, hi + 1.0)
-        # math.log, not np.log: numpy's SIMD log differs from libm's on some x
-        ln_x = np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
-        p = 1.0 / (x * x)
-        poly = 0.0
-        for c in _STIRLING_5 if lo < 999 else _STIRLING_3:
-            poly = poly * p + c
-        table[lo:hi] = (x - 0.5) * ln_x - x + _LS2PI + poly / x
-    return table
-
-
-def _ln_factorials(n: int) -> np.ndarray:
-    """ln m! for m < n: a read-only view of one table shared by the process,
-    which at least doubles when it grows, up to the largest size needed."""
-    global _ln_fact
-    table = _ln_fact
-    if n > table.size:
-        table = _build_ln_factorials(max(n, min(2 * table.size, _LN_FACT_CAP)))
-        table.flags.writeable = False
-        _ln_fact = table
-    return table[:n]
-
-
-def _lgamma_factorials(lo: int, hi: int) -> np.ndarray:
-    """ln m! for lo <= m < hi as math.lgamma(m + 1) gives it: for hi <= _CHUNK
-    (512 KB) a read-only view of one table shared by the process, doubling as
-    it grows; past that, mapped afresh."""
-    global _lgam
-    if hi > _CHUNK:
-        return np.array([*map(math.lgamma, range(lo + 1, hi + 1))])
-    if hi > _lgam.size:
-        size = max(hi, min(2 * _lgam.size, _CHUNK))
-        table = np.concatenate((_lgam, [*map(math.lgamma, range(_lgam.size + 1, size + 1))]))
-        table.flags.writeable = False
-        _lgam = table
-    return _lgam[lo:hi]
-
-
 def _logsumexp(a: np.ndarray) -> float:
     """ln sum exp(a) of a finite 1-D array in the reference logsumexp's
     operation order: the maximal entries leave the sum as log(count)."""
@@ -164,18 +105,6 @@ def _logsumexp(a: np.ndarray) -> float:
     if s != 0.0:
         s = s / count
     return float(np.log1p(s) + np.log(count) + a_max)
-
-
-def _ln_w(n, k: int, ln_a: float, ln_inv_q: float, ln_fact_nk, ln_fact_n):
-    """ln w_n from ln (n+k)! and ln n!, the same bits for an int n or an array.
-
-    The adaptive bulk and fixed cutoffs slice both factorials from the
-    _ln_factorials table, equal to gammaln bit for bit.  The adaptive tail
-    (through _lgamma_factorials) and log_weight take math.lgamma, which
-    differs from gammaln in the last bit on about half the integers, so moving
-    either range to the other source would change output bytes."""
-    return (n * (2.0 * ln_a) + ln_fact_nk - 2.0 * ln_fact_n
-            + (k * (k - 1) + 2.0 * k * n) * ln_inv_q)
 
 
 def log_weight(spec: StateSpec, n: int) -> float:
@@ -190,7 +119,8 @@ def log_weight(spec: StateSpec, n: int) -> float:
     # the |alpha| term is exactly 0 at n = 0, so any finite ln|alpha| serves
     ln_a = math.log(spec.alpha_abs) if spec.alpha_abs > 0.0 else 0.0
     k = spec.k
-    return _ln_w(n, k, ln_a, math.log(1.0 / spec.q), math.lgamma(n + k + 1), math.lgamma(n + 1))
+    return (n * (2.0 * ln_a) + math.lgamma(n + k + 1) - 2.0 * math.lgamma(n + 1)
+            + (k * (k - 1) + 2.0 * k * n) * math.log(1.0 / spec.q))
 
 
 def _ratio(c: float, k: int, n):
@@ -254,11 +184,13 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
         # every n >= 1 weight is exactly zero; single-term series, no tail
         return TruncatedSeries(spec=spec, log_weights=np.array([log_weight(spec, 0)]),
                                tail_bound_rel=0.0, converged=True)
-    ln_a, ln_inv_q, c = math.log(spec.alpha_abs), math.log(1.0 / spec.q), _ratio_constant(spec)
+    # ln c from logs, where c itself can over- or underflow
+    ln_c = 2.0 * math.log(spec.alpha_abs) + 2 * spec.k * math.log(1.0 / spec.q)
+    c = _ratio_constant(spec)
     if isinstance(policy, AdaptiveTruncation):
-        return _truncate_adaptive(spec, policy, ln_a, ln_inv_q, c)
+        return _truncate_adaptive(spec, policy, ln_c, c)
     if isinstance(policy, FixedTruncation):
-        return _truncate_fixed(spec, policy, ln_a, ln_inv_q, c)
+        return _truncate_fixed(spec, policy, ln_c, c)
     raise InvalidParameter(f"unknown truncation policy {policy!r}")
 
 
@@ -266,8 +198,25 @@ def _point(spec: StateSpec) -> str:
     return f"q={spec.q!r}, k={spec.k}, |alpha|={spec.alpha_abs!r}"
 
 
+def _sum_outward(log_ratios: np.ndarray, anchor: int) -> np.ndarray:
+    """ln(v_n/v_anchor) for n <= log_ratios.size, from the log-ratios
+    ln(v_{n+1}/v_n), summed outward from the anchor in both directions."""
+    out = np.zeros(log_ratios.size + 1)
+    np.add.accumulate(log_ratios[anchor:], out=out[anchor + 1:])
+    out[:anchor] = -np.add.accumulate(log_ratios[:anchor][::-1])[::-1]
+    return out
+
+
+def _log_ratio_sums(k: int, ln_c: float, anchor: int, size: int) -> np.ndarray:
+    """ln(w_n/w_anchor) for n < size: the log-ratios ln c + ln(n+k+1) - 2 ln(n+1)
+    summed outward from the anchor.  A term's value depends only on the terms
+    between it and the anchor, not on size."""
+    m = np.arange(1.0, size)  # n + 1
+    return _sum_outward(ln_c + np.log(m + k) - 2.0 * np.log(m), anchor)
+
+
 def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
-                       ln_a: float, ln_inv_q: float, c: float) -> TruncatedSeries:
+                       ln_c: float, c: float) -> TruncatedSeries:
     k = spec.k
     # ratio at the cap is exact and overflow-safe; if it is still >= 1 there,
     # the peak lies past the cap and no stopping test can ever pass
@@ -277,68 +226,46 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
             "the series peak is beyond desk scale")
     n_peak = _first_subunit_ratio_index(c, k)
 
-    # Every n < n_peak has ratio >= 1, so no stop there: the first chunk weighs
-    # that bulk in its _ln_w pass (factorials from the ln m! table) and sums it
-    # vectorized.  From n_peak on every ratio is below 1, so the stop is the
-    # first bound <= rel_tol at n >= 1 (a lone term has no spread: it reads as
-    # the vacuum).  Chunks give one-term-at-a-time IEEE values: math.lgamma for
-    # the tail's ln n! and ln (n+k)! (_lgamma_factorials), math.exp (not
-    # np.exp), the scalar step through the last new maximum (it rescales) and a
-    # seeded cumsum.  The first chunk is _peak_width at z^2 = 2 ln(1/rel_tol);
-    # then x2.
-    tail, lo, n0, m, scaled_sum = [], 0, n_peak, -math.inf, 0.0
+    # Every n < n_peak has ratio >= 1, so no stop there; from n_peak on every
+    # ratio is below 1, so the stop is the first bound <= rel_tol at n >= 1 (a
+    # lone term has no spread: it reads as the vacuum).  The window reaches
+    # _peak_width at z^2 = 2 ln(1/rel_tol) past the peak and doubles until it
+    # holds the stop.
+    first = max(n_peak, 1)
     z2 = -2.0 * math.log(policy.rel_tol)  # 1/rel_tol overflows for a subnormal rel_tol
     width = _peak_width(z2, n_peak, k)
-    while n0 <= DEFAULT_HARD_CAP:
-        w = min(width, DEFAULT_HARD_CAP + 1 - n0)
-        lf_nk, lf_n = _lgamma_factorials(n0 + k, n0 + w + k), _lgamma_factorials(n0, n0 + w)
-        if lo < n0:
-            lf = _ln_factorials(k + n_peak)
-            lf_nk, lf_n = np.concatenate((lf[k:], lf_nk)), np.concatenate((lf[:n_peak], lf_n))
-        ns = np.arange(lo, n0 + w, dtype=np.float64)
-        lws = _ln_w(ns, k, ln_a, ln_inv_q, lf_nk, lf_n)
-        if lo < n0:
-            m = float(lws[:n_peak].max())
-            scaled_sum = float(np.exp(lws[:n_peak] - m).sum())
-        lw, r = lws[n0 - lo:], _ratio(c, k, ns[n0 - lo:])
-        j = int(lw.argmax())
-        j = j + 1 if lw[j] > m else 0  # terms through the last new maximum
-        bounds = np.empty(w)
-        for i in range(j):
-            x, ri = lw.item(i), r.item(i)
-            if x > m:
-                scaled_sum *= math.exp(m - x)
-                m = x
-            e = math.exp(x - m)
-            scaled_sum += e
-            bounds[i] = _tail_bound(e, ri, scaled_sum)
-        es = np.array([scaled_sum, *map(math.exp, (lw[j:] - m).tolist())])
-        sums = es.cumsum()
-        bounds[j:] = _tail_bound(es[1:], r[j:], sums[1:])
-        first = int(n0 == 0)
-        i = first + int((bounds[first:] <= policy.rel_tol).argmax())
+    while True:
+        end = min(n_peak + width, DEFAULT_HARD_CAP)
+        rel = _log_ratio_sums(k, ln_c, n_peak, end + 1)
+        e = np.exp(rel)
+        bounds = _tail_bound(e[first:], _ratio(c, k, np.arange(first, end + 1.0)),
+                             np.add.accumulate(e)[first:])
+        i = int((bounds <= policy.rel_tol).argmax())
         if bounds[i] <= policy.rel_tol:
-            return TruncatedSeries(spec=spec, log_weights=np.concatenate((*tail, lws[:n0 - lo + i + 1])),
-                                   tail_bound_rel=float(bounds[i]), converged=True)
-        tail.append(lws)
-        scaled_sum, lo, n0, width = float(sums[-1]), n0 + w, n0 + w, min(2 * width, _CHUNK)
-    raise HardCapExceeded(
-        f"{_point(spec)}: adaptive truncation passed hard_cap={DEFAULT_HARD_CAP} "
-        f"without certifying rel_tol={policy.rel_tol}")
+            lws = rel[:first + i + 1] + log_weight(spec, n_peak)
+            return TruncatedSeries(spec=spec, log_weights=lws, tail_bound_rel=float(bounds[i]),
+                                   converged=True)
+        if end == DEFAULT_HARD_CAP:
+            raise HardCapExceeded(
+                f"{_point(spec)}: adaptive truncation passed hard_cap={DEFAULT_HARD_CAP} "
+                f"without certifying rel_tol={policy.rel_tol}")
+        width *= 2
 
 
 def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,
-                    ln_a: float, ln_inv_q: float, c: float) -> TruncatedSeries:
-    n, k = policy.n_max + 1, spec.k
-    lf = _ln_factorials(k + n)
-    lws = _ln_w(np.arange(n, dtype=np.float64), k, ln_a, ln_inv_q, lf[k:], lf[:n])
-    r = _ratio(c, k, policy.n_max)
+                    ln_c: float, c: float) -> TruncatedSeries:
+    n_max = policy.n_max
+    r = _ratio(c, spec.k, n_max)
+    # anchored at the largest retained term: the peak, or n_max before it
+    anchor = n_max if r >= 1.0 else _first_subunit_ratio_index(c, spec.k)
+    rel = _log_ratio_sums(spec.k, ln_c, anchor, n_max + 1)
+    lws = rel + log_weight(spec, anchor)
     if r >= 1.0:
         # no geometric bound exists; the neglected tail may dominate
         return TruncatedSeries(spec=spec, log_weights=lws, tail_bound_rel=math.inf,
                                converged=False)
-    m = float(lws.max())
-    bound = _tail_bound(math.exp(float(lws[-1]) - m), r, float(np.exp(lws - m).sum()))
+    e = np.exp(rel)
+    bound = float(_tail_bound(e[-1], r, e.sum()))
     return TruncatedSeries(spec=spec, log_weights=lws, tail_bound_rel=bound,
                            converged=bound <= policy.rel_tol)
 

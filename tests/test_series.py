@@ -1,5 +1,9 @@
 """Series weights, certified truncation, and photon statistics."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
-import fockseries.series as series_module
+import fockseries
 from fockseries import (
     DEFAULT_HARD_CAP,
     AdaptiveTruncation,
@@ -23,13 +27,10 @@ from fockseries import (
     photon_statistics,
     truncate,
 )
+from fockseries.oracle import oracle_statistics
 from fockseries.series import (
-    _CHUNK,
-    _LN_FACT_CAP,
     TruncatedSeries,
     _first_subunit_ratio_index,
-    _lgamma_factorials,
-    _ln_factorials,
     _logsumexp,
     _point,
     _ratio,
@@ -174,8 +175,8 @@ ks = st.integers(0, DEFAULT_HARD_CAP)
 
 
 class TestPeakSearch:
-    """The first n with term ratio below 1 splits the weights between the
-    ln m! table and math.lgamma, so it fixes output bytes."""
+    """The first n with term ratio below 1 anchors every series' log-ratio
+    sums, so it fixes output bytes."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(log_uniform_cs(ks), crossing_cs(ks)))
@@ -188,10 +189,11 @@ class TestPeakSearch:
 
 
 def reference_truncate_adaptive(spec, policy):
-    """truncate's adaptive path with its tail one Python iteration per term,
-    and the weight, ratio and bound formulas written out in their original
-    operation order: the reference the chunked tail must equal bit for bit.
-    It keeps two terms at least, so that a lone w_0 never reads as the vacuum."""
+    """truncate's adaptive path one Python iteration per term past the peak,
+    each ln w_n from log-gamma (scipy's gammaln below the peak, math.lgamma
+    from it), summed with a running maximum: an independent path to the same
+    stop, bound and errors.  It keeps two terms at least, so that a lone w_0
+    never reads as the vacuum."""
     k = spec.k
     ln_a, ln_inv_q, c = math.log(spec.alpha_abs), math.log(1.0 / spec.q), _ratio_constant(spec)
     if not math.isfinite(c) or _ratio(c, k, DEFAULT_HARD_CAP) >= 1.0:
@@ -199,8 +201,8 @@ def reference_truncate_adaptive(spec, policy):
             f"{_point(spec)}: term ratio stays >= 1 at hard_cap={DEFAULT_HARD_CAP}; "
             "the series peak is beyond desk scale")
     n_peak = _first_subunit_ratio_index(c, k)
-    lf, ns = _ln_factorials(k + n_peak), np.arange(n_peak, dtype=np.float64)
-    bulk = (2.0 * ns * ln_a + lf[k:k + n_peak] - 2.0 * lf[:n_peak]
+    ns = np.arange(n_peak, dtype=np.float64)
+    bulk = (2.0 * ns * ln_a + gammaln(ns + k + 1.0) - 2.0 * gammaln(ns + 1.0)
             + (k * (k - 1) + 2 * ns * k) * ln_inv_q)
     m = float(bulk.max(initial=-math.inf))
     scaled_sum = float(np.exp(bulk - m).sum())
@@ -228,8 +230,24 @@ def reference_truncate_adaptive(spec, policy):
         f"without certifying rel_tol={policy.rel_tol}")
 
 
+def log_weight_scale(spec, n):
+    """Sum of the magnitudes of ln w_n's four terms: each of the two paths
+    rounds ln w_n to within a few ulps of it (see the tolerance below)."""
+    k = spec.k
+    return (2.0 * n * abs(math.log(spec.alpha_abs)) + math.lgamma(n + k + 1.0)
+            + 2.0 * math.lgamma(n + 1.0) + (k * (k - 1) + 2.0 * n * k) * math.log(1.0 / spec.q))
+
+
+# |ln w_n - reference| <= this many ulps of the largest log_weight_scale in
+# the series.  The reference rounds about six terms of up to that scale; the
+# kernel rounds ln w at the peak alike and then adds one log-ratio a term,
+# whose magnitudes (ln c, ln(n+k+1), 2 ln(n+1)) sum over n to at most the scale.
+LOG_WEIGHT_ULPS = 32.0
+
+
 def assert_same_truncation(spec, policy):
-    """truncate and the reference give the same bytes, or the same error."""
+    """truncate and the reference stop at the same n with the same verdict,
+    or raise the same error; log-weights and bound agree to the tolerance."""
     try:
         ref = reference_truncate_adaptive(spec, policy)
     except HardCapExceeded as exc:
@@ -238,15 +256,24 @@ def assert_same_truncation(spec, policy):
         assert str(got.value) == str(exc)
         return
     got = truncate(spec, policy)
-    assert got.log_weights.tobytes() == ref.log_weights.tobytes()
     assert got.n_max == ref.n_max
-    assert type(got.tail_bound_rel) is float and same_bits(got.tail_bound_rel, ref.tail_bound_rel)
     assert got.converged is ref.converged is True
+    n_peak = _first_subunit_ratio_index(_ratio_constant(spec), spec.k)
+    eps = np.finfo(np.float64).eps
+    atol = LOG_WEIGHT_ULPS * eps * max(
+        1.0, log_weight_scale(spec, got.n_max), log_weight_scale(spec, n_peak))
+    assert np.max(np.abs(got.log_weights - ref.log_weights)) <= atol
+    # the bound is a term over a sum of terms, exp(ln w) each: relative error
+    # 2 atol from the logs, plus the rounding of the sums and r/(1 - r)
+    assert type(got.tail_bound_rel) is float
+    rtol = 2.0 * atol + 64 * eps
+    assert abs(got.tail_bound_rel - ref.tail_bound_rel) <= rtol * ref.tail_bound_rel
 
 
 class TestChunkedTail:
-    """The adaptive tail runs in numpy chunks that must reproduce the
-    term-at-a-time loop's log-weights, stop, bound and errors exactly."""
+    """The adaptive path, which sums log-ratios in a window that doubles until
+    it holds the stop, against the term-at-a-time reference: the same stop,
+    verdict and errors, and log-weights and bound to a stated tolerance."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(log_uniform_cs(st.integers(0, 200)), crossing_cs(st.integers(0, 200))),
@@ -262,7 +289,7 @@ class TestChunkedTail:
     def test_rescale_past_the_peak(self):
         """At c = (N+1)^2/(N+k+1), N = 1003, k = 3, the term ratio at N rounds
         below 1, yet ln w_{N+1} > ln w_N in float: the tail's second term is
-        a new maximum too, so the loop rescales the sum at N and at N + 1."""
+        a new maximum too, so the reference rescales its sum at N and N + 1."""
         spec = penson_solomon_state(31.638725281495372, 3, 1.0)
         assert _first_subunit_ratio_index(_ratio_constant(spec), 3) == 1003
         lws = reference_truncate_adaptive(spec, AdaptiveTruncation()).log_weights
@@ -271,40 +298,27 @@ class TestChunkedTail:
 
     @pytest.mark.parametrize("alpha, k", [(1e-3, 100_000), (300.0, 0), (255.0, 0)])
     def test_windows_past_the_lgamma_table_cap(self, alpha, k):
-        """ln (n+k)! past _CHUNK: from a large k, from a peak past the cap,
-        and from a peak below the cap whose tail runs past it."""
+        """n + k past 2^16, the size of the ln m! table the weights once took
+        from math.lgamma: from a large k, from a peak that far out, and from
+        a nearer peak whose tail runs that far."""
         spec = penson_solomon_state(alpha, k, 1.0)
-        assert truncate(spec, AdaptiveTruncation()).n_max + k > _CHUNK
+        assert truncate(spec, AdaptiveTruncation()).n_max + k > 1 << 16
         assert_same_truncation(spec, AdaptiveTruncation())
-        assert series_module._lgam.size <= _CHUNK
 
-
-class TestLgammaTable:
-    """The tail's ln n! table: math.lgamma's own bits, shared and read-only.
-    TestChunkedTail checks that windows past its cap never grow it."""
-
-    def test_matches_math_lgamma_bitwise(self):
-        table = _lgamma_factorials(0, _CHUNK)
-        assert table.size == _CHUNK == series_module._lgam.size
-        expected = np.array([math.lgamma(m + 1) for m in range(_CHUNK)])
-        assert table.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("lo, hi", [(5, 5), (7, 40), (_CHUNK - 3, _CHUNK),
-                                        (_CHUNK - 3, _CHUNK + 4), (3 * _CHUNK, 3 * _CHUNK + 9)])
-    def test_windows_match_math_lgamma_bitwise(self, lo, hi):
-        """A window below the cap is a view of the table; one past it is
-        mapped, with the same bits, and leaves the table at the cap."""
-        window = _lgamma_factorials(lo, hi)
-        expected = np.array([math.lgamma(m + 1) for m in range(lo, hi)])
-        assert window.dtype == np.float64 and window.tobytes() == expected.tobytes()
-        assert series_module._lgam.size <= _CHUNK
-
-    def test_read_only(self):
-        table = _lgamma_factorials(0, 20)
-        with pytest.raises(ValueError):
-            table[3] = 0.0
-        with pytest.raises(ValueError):
-            series_module._lgam[3] = 0.0
+    def test_largest_k_allocates_no_table(self):
+        """At k = 2e6 the series has a dozen terms; no ln m! table is built.
+        A fresh process, so that no earlier allocation is counted."""
+        code = ("import tracemalloc\n"
+                "from fockseries import AdaptiveTruncation, penson_solomon_state, truncate\n"
+                "spec = penson_solomon_state(1e-3, 2_000_000, 1.0)\n"
+                "tracemalloc.start()\n"
+                "truncate(spec, AdaptiveTruncation())\n"
+                "print(tracemalloc.get_traced_memory()[1])\n")
+        src = Path(fockseries.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1 << 20
 
 
 class TestTruncate:
@@ -339,6 +353,19 @@ class TestTruncate:
         assert series.converged
         assert series.tail_bound_rel <= 1e-14
         assert series.n_max == 80
+
+    @pytest.mark.parametrize("alpha, k, q", [(2.0, 0, 1.0), (3.0, 2, 0.5), (5.0, 3, 0.5)])
+    def test_fixed_cutoffs_share_the_adaptive_kernel(self, alpha, k, q):
+        """A cutoff past the peak is anchored there too, so it keeps the
+        adaptive series' own terms; one before the peak ends on ln w_{n_max}."""
+        spec = penson_solomon_state(alpha, k, q)
+        adaptive = truncate(spec, AdaptiveTruncation())
+        fixed = truncate(spec, FixedTruncation(n_max=adaptive.n_max))
+        assert fixed.log_weights.tobytes() == adaptive.log_weights.tobytes()
+        assert abs(fixed.tail_bound_rel / adaptive.tail_bound_rel - 1.0) <= 1e-12
+        n_short = _first_subunit_ratio_index(_ratio_constant(spec), k) // 2
+        short = truncate(spec, FixedTruncation(n_max=n_short))
+        assert short.log_weights[-1] == log_weight(spec, n_short)
 
     def test_converged_tail_respects_tolerance(self):
         for tol in (1e-10, 1e-14):
@@ -415,19 +442,8 @@ def same_bits(x, y):
 
 
 class TestScipyFreeKernels:
-    """The ln m! table and the log-sum-exp equal scipy.special bit for bit,
-    so the runtime can go without scipy and no output byte moves."""
-
-    def test_ln_factorials_match_gammaln_over_reachable_range(self):
-        lf = _ln_factorials(_LN_FACT_CAP)
-        assert lf.size == _LN_FACT_CAP == 2 * DEFAULT_HARD_CAP + 2
-        assert same_bits(lf, gammaln(np.arange(_LN_FACT_CAP, dtype=np.float64) + 1.0))
-
-    def test_ln_factorials_prefix_is_read_only(self):
-        lf = _ln_factorials(20)
-        assert lf.size == 20
-        with pytest.raises(ValueError):
-            lf[3] = 0.0
+    """The log-sum-exp equals scipy.special's bit for bit, so the runtime can
+    go without scipy and no output byte moves."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-1e6, 1e6),
@@ -521,6 +537,14 @@ class TestPhotonStatistics:
         """Q = -1/2 exactly at q=0.5, k=1, |alpha|=0.5 (256-bit oracle)."""
         stats = photon_statistics(adaptive_series(0.5, 1, 0.5))
         assert abs(stats.mandel_q - (-0.5)) < 1e-12
+
+    @pytest.mark.parametrize("q, k, alpha", [(0.3, 5, 3.0), (0.3, 5, 3.4), (1.0, 2, 300.0)])
+    def test_mandel_q_at_large_x_matches_the_oracle(self, q, k, alpha):
+        """x = |alpha|^2 q^(-2k) of 1.5e6, 2.0e6 and 9e4, where ln w_n is
+        about x: log-ratios summed from the peak keep Q to about 1e-12."""
+        spec = penson_solomon_state(alpha, k, q)
+        got = photon_statistics(truncate(spec, AdaptiveTruncation())).mandel_q
+        assert abs(got - float(oracle_statistics(spec).mandel_q)) <= 2e-12
 
     def test_bounds_on_random_grid(self):
         rng = np.random.default_rng(7)
