@@ -15,14 +15,11 @@ transmitted mode's reduced state.
 
 Every state here is the photon-added coherent state a†^k|beta> with
 beta^2 = x = |alpha|^2 q^(-2k) (Agarwal & Tara, Phys. Rev. A 43, 492
-(1991)), so A has rank k+1: the splitter sends it to
-sum_i u_i a†^i b†^(k-i) |t beta>|r beta>, with u_i = C(k,i) t^i r^(k-i).
-In the Fock basis a†^i|g> is, up to e^(-g^2/2), the vector
-h_i(j) = lam^((j-i)/2) sqrt(j!)/(j-i)! at lam = g^2.  With Phi the Gram
-matrix of h_0..h_k at lam = x t^2, Psi the same at x r^2 and
-M_ii' = u_i u_i' Psi_(k-i, k-i'), the purity is Tr((M Phi)^2)/Tr(M Phi)^2.
-A converged series with k <= 64 takes that path, two (k+1) x (k+1) Grams
-of Fock series over one mode; the rest build the D x D matrix A (``split``)
+(1991)), which is D(beta)(a† + beta)^k|0>: a displaced state of at most k
+photons.  The splitter maps D(beta) x 1 to the local D(t beta) x D(r beta),
+which leave the purity unchanged, so A has rank k+1 and, in the displaced
+frame, is (k+1) x (k+1).  A converged series with k <= 128 takes that
+path (``_displaced_purity``); the rest build the D x D matrix A (``split``)
 and take its purity (``reduced_purity``).
 """
 from __future__ import annotations
@@ -36,11 +33,8 @@ import numpy as np
 from .errors import HardCapExceeded, InvalidParameter, UnnormalizedInput
 from .series import (
     TruncatedSeries,
-    _first_subunit_ratio_index,
-    _peak_width,
     _point,
     _ratio_constant,
-    _sum_outward,
     normalization_log,
 )
 from .states import StateSpec
@@ -56,16 +50,12 @@ MAX_DIM = 8192
 _TRIM_MASS = 1e-30
 _BLOCK = 32  # box rows per Gram product
 _BUILD_CELLS = 1 << 15  # cells per row block of split's build (256 KB)
-# largest k whose converged series take the Gram path: timed against split +
-# reduced_purity at q = 1, it is at most 1.05x slower at k = 64 (D < 120) and
-# 15x faster at D = 1264; at k = 128, 1.8x slower and 6.7x faster
-_GRAM_MAX_K = 64
-# certified tail mass of each Gram column outside its window, relative to the
-# mass inside; Cauchy-Schwarz carries it to every entry
-_GRAM_TOL = 1e-20
-_LN2 = math.log(2.0)
-# exponent of a zero factor: no column takes its scale from a zero entry, and 2000 fit int32
-_ZERO_EXPONENT = -(1 << 20)
+# largest k whose converged series take the displaced frame: timed against
+# split + reduced_purity at q = 1 and small x (one BLAS thread, 2-vCPU x86
+# host), it is 2-3x faster at k = 128 and the two cost the same near k = 200,
+# but from k ~ 136 on the dense path's own error reaches the 1e-11 the two
+# are held to at this crossover
+_GRAM_MAX_K = 128
 
 
 @dataclass(frozen=True)
@@ -199,95 +189,50 @@ def reduced_purity(amps: JointAmplitudes) -> float:
     return float(purity)
 
 
-def _fock_gram(ln_lam: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix of the columns h_i, i <= k, at lam = exp(ln_lam), each
-    scaled by lam^(i/2) 2^(-E_i) and all by one positive constant; returns
-    the Gram matrix and the integer exponents E.
-
-    h_i(j) = lam^(-i/2) j(j-1)..(j-i+1) g(j) with g(j)^2 = lam^j / j!.  The
-    logs ln g(j)/g(j0) are summed outward from g's mode j0 = floor(lam) and
-    split into mantissa and power of two, so that no entry under- or
-    overflows at large lam and k.  One frexp splits the integers n = j - i:
-    row by row, the mantissas multiply (those of the factors, then g's) and
-    the exponents add, as differences of one running sum.  E_i puts each
-    column's largest entry in [1/2, 1): an exact scaling, which the trace
-    ratio does not see.  The window of j is grown until it holds all but
-    _GRAM_TOL of every column's squared mass.  The term ratio of h_i(j)^2,
-    lam (j+1)/(j+1-i)^2, falls for j >= i, so the mass above the window's top
-    J1 is at most the top term times rho/(1-rho), rho the ratio at J1, and the
-    mass below its bottom J0 > i at most the bottom term times s/(1-s),
-    s = (J0-i)^2/(lam J0) the ratio down from J0, which falls further down.
-    """
-    lam = math.exp(ln_lam)
-    j0 = int(lam)
-    n_peak = _first_subunit_ratio_index(lam, k)
-    delta = _peak_width(-2.0 * math.log(_GRAM_TOL), n_peak, k)
-    while True:
-        lo, hi = max(0, j0 - delta), k + n_peak + delta
-        width, c = hi + 1 - lo, j0 - lo
-        n = np.arange(lo - k, hi + 1.0)  # the factors j - i, i < k; n[k:] is j
-        fm, fe = np.frexp(n)
-        z = max(0, k + 1 - lo)  # n <= 0: a zero factor, whose entries stay 0
-        fm[:z], fe[:z] = 0.0, _ZERO_EXPONENT
-        np.add.accumulate(fe, out=fe)  # np.cumsum without its Python-level dispatch
-        ln_g = _sum_outward(0.5 * (ln_lam - np.log(n[k + 1:])), c)  # from ln g(j+1)/g(j)
-        m = np.empty((k + 1, width))
-        e = np.empty((k + 1, width), dtype=np.int32)
-        e[0] = np.floor(ln_g * (1.0 / _LN2))
-        np.exp(ln_g - e[0] * _LN2, out=m[0])
-        # fe holds running sums; row i of this (int32) Hankel view of it is fe[k-i:][:width]
-        np.subtract(fe[k:] + e[0], np.ndarray((k + 1, width), np.int32, fe, 4 * k, (-4, 4)), out=e)
-        m[1:2] = fm[k:]  # row 1, empty at k = 0
-        for r in range(1, k):
-            np.multiply(m[r], fm[k - r:k - r + width], out=m[r + 1])
-        m[1:] *= m[0]
-        _, de = np.frexp(m, out=(m, None))
-        e += de
-        top = np.maximum.reduce(e, axis=1)
-        f = np.ldexp(m, e - top[:, None], out=m)
-        gram = f @ f.T
-        ratios = ([lam * (hi + 1) / ((hi + 1 - i) * (hi + 1 - i)) for i in range(k + 1)]
-                  + [(lo - i) * (lo - i) / (lam * lo) for i in range(min(lo, k + 1))])
-        ends = f[:, -1].tolist() + f[:lo, 0].tolist()  # rho for each i, then s for i < lo
-        if all(r < 1.0 and y * y * r <= _GRAM_TOL * (1.0 - r) * w
-               for r, y, w in zip(ratios, ends, gram.diagonal().tolist() * 2)):
-            return gram, top
-        delta *= 2
+@functools.lru_cache(maxsize=16)
+def _displaced_factors(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only m = 0..k, sqrt(m+1)/(k-m) for m < k, and the (k+1) x (k+1)
+    Hankel factor sqrt(C(j+l, j)), 0 past j + l = k."""
+    m = np.arange(k + 1.0)
+    roots = np.zeros((k + 1, k + 1))
+    for j in range(k + 1):
+        roots[j, :k + 1 - j] = [math.sqrt(math.comb(j + l, j)) for l in range(k + 1 - j)]
+    factors = (m, np.sqrt(m[1:]) / (k - m[:k]), roots)
+    for f in factors:
+        f.flags.writeable = False
+    return factors
 
 
-@functools.lru_cache(maxsize=_GRAM_MAX_K + 1)
-def _binomials(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only C(k,i), i <= k, as floats, and their frexp mantissas and exponents."""
-    comb = np.array([float(math.comb(k, i)) for i in range(k + 1)])
-    arrays = (comb, *np.frexp(comb))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def _displaced_purity(spec: StateSpec, setting: BeamSplitterSetting) -> float:
+    """Tr(rho_a^2) of the state a†^k|beta> after the splitter, in k+1 terms.
 
-
-def _gram_purity(spec: StateSpec, setting: BeamSplitterSetting) -> float:
-    """Tr((M Phi)^2)/Tr(M Phi)^2 from the two Fock Grams (module docstring).
-
-    With the columns scaled as _fock_gram scales them, u_i lam_a^(-i/2)
-    lam_b^(-(k-i)/2) = C(k,i) x^(-k/2): t and r enter only through the
-    Grams, and M's weights are C(k,i) 2^(E_a,i + E_b,k-i), exact up to the
-    rounding of C(k,i), over their largest.  At x = 0, the Fock state |k>,
-    rho_a is diagonal with the binomial weights C(k,i) t^2i r^2(k-i).
+    a†^k|beta> = D(beta)(a† + beta)^k|0> has the displaced-frame amplitudes
+    c'_m ∝ C(k,m) beta^(k-m) sqrt(m!), m <= k.  Their ratios
+    c'_(m+1)/c'_m = (k-m)/(beta sqrt(m+1)) fall with m, so the largest term
+    is 1 and the others are products of ratios below 1, taken outward from
+    it (beta = 0 leaves only c'_k).  The splitter maps D(beta) x 1 to the
+    local D(t beta) x D(r beta), which leave the purity as it is: the joint
+    amplitudes are A'(j, l) = c'_(j+l) sqrt(C(j+l, j)) t^j r^l, j + l <= k,
+    and the purity is ||A' A'^T||_F^2 / Tr(A' A'^T)^2.
     """
     k = spec.k
     t, r = math.cos(setting.theta), math.sin(setting.theta)
-    x = _ratio_constant(spec) if spec.alpha_abs > 0.0 else 0.0
-    comb, mantissa, e_c = _binomials(k)
-    if x == 0.0:
-        i = np.arange(k + 1)
-        p = comb * t ** (2 * i) * r ** (2 * (k - i))
-        return float(p @ p / p.sum() ** 2)
-    phi, e_a = _fock_gram(math.log(x) + 2.0 * math.log(t), k)
-    psi, e_b = _fock_gram(math.log(x) + 2.0 * math.log(r), k)
-    e = e_c + e_a + e_b[::-1]
-    u = np.ldexp(mantissa, e - e.max())
-    m_phi = (np.multiply.outer(u, u) * psi[::-1, ::-1]) @ phi
-    return float((m_phi * m_phi.T).sum() / m_phi.trace() ** 2)
+    beta = math.sqrt(_ratio_constant(spec)) if spec.alpha_abs > 0.0 else 0.0
+    m, root_ratio, roots = _displaced_factors(k)
+    down = beta * root_ratio  # c'_m / c'_(m+1), rising with m
+    peak = int(np.searchsorted(down, 1.0, side="right"))
+    c = np.zeros(2 * k + 1)  # c'_m, then the zeros a Hankel view reads past m = k
+    c[peak] = 1.0
+    c[:peak] = np.multiply.accumulate(down[:peak][::-1])[::-1]
+    np.multiply.accumulate(1.0 / down[peak:], out=c[peak + 1:k + 1])
+    a = np.ndarray((k + 1, k + 1), np.float64, c, 0, (8, 8)) * roots
+    a *= (t ** m)[:, None]
+    a *= r ** m
+    # each dropped entry weighs < 1e-300 against a squared norm >= c'_peak^2 = 1,
+    # and no product in the Gram below is subnormal (slow in BLAS)
+    a[a < 1e-150] = 0.0
+    rho = a @ a.T
+    return float((rho * rho).sum() / rho.trace() ** 2)  # pairwise, unlike einsum
 
 
 def linear_entropy(series: TruncatedSeries,
@@ -296,14 +241,15 @@ def linear_entropy(series: TruncatedSeries,
                    allow_unconverged: bool = False) -> EntanglementResult:
     """S = 1 - Tr(rho_a^2) of the transmitted mode after splitting with vacuum.
 
-    A converged series with k <= 64 takes the purity from the two
-    (k+1) x (k+1) Fock Grams of the photon-added coherent state it
-    truncates (module docstring), with no D x D matrix.  Its S is that of the
-    untruncated state, good to about 1e-15 absolute; ``series`` supplies
-    only the state and the gate.  An unconverged series is not rank k+1 (its
-    cut at m < D does not factor), and past k = 64 the Gram path no longer
-    pays (see _GRAM_MAX_K): both take ``split`` and ``reduced_purity``, whose
-    dimension cap can refuse them.
+    A converged series with k <= 128 takes the purity from the
+    (k+1) x (k+1) joint amplitudes of the photon-added coherent state it
+    truncates, in its displaced frame (module docstring), with no D x D
+    matrix.  Its S is that of the untruncated state, good to about 1e-15
+    absolute, at about 25 us a point for k = 3 on a 2-vCPU x86 host;
+    ``series`` supplies only the state and the gate.  An unconverged series
+    is not rank k+1 (its cut at m < D does not factor), and past k = 128 the
+    series stays on the dense path (see _GRAM_MAX_K): both take ``split``
+    and ``reduced_purity``, whose dimension cap can refuse them.
 
     S is clamped at 0: a pure reduced state's purity can round a few ulps
     above 1.  ``purity`` keeps the raw value.  An unconverged series (a
@@ -316,7 +262,7 @@ def linear_entropy(series: TruncatedSeries,
     if not isinstance(setting, BeamSplitterSetting):
         raise InvalidParameter("setting must be a BeamSplitterSetting")
     if series.converged and series.spec.k <= _GRAM_MAX_K:
-        purity = _gram_purity(series.spec, setting)
+        purity = _displaced_purity(series.spec, setting)
     else:
         purity = reduced_purity(split(series, setting))
     return EntanglementResult(purity=purity, linear_entropy=max(1.0 - purity, 0.0))

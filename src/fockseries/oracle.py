@@ -17,10 +17,12 @@ truncated.  With m the photon number:
 
 Every term is nonnegative and the factors e^(-x) cancel from each ratio.
 The double-precision entropy path for converged series rests on the same
-rank-(k+1) split and trace ratio, but sums each Gram entry as a Fock series
-in floating point; the Laguerre values, the normal-ordered closed forms and
-the Q path share no formula with the double-precision modules, so any
-disagreement with them localizes the bug.
+rank-(k+1) split, but in the displaced frame: it splits the (k+1)-term
+Fock vector (a† + beta)^k|0> and takes the purity of its joint amplitudes,
+with no normal-ordered Gram sum and no trace ratio of R Phi.  The Laguerre
+values, the normal-ordered closed forms and the Q path share no formula with
+the double-precision modules, so any disagreement with them localizes the
+bug.
 """
 from __future__ import annotations
 

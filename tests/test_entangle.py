@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockseries import (
@@ -26,13 +26,16 @@ import fockseries.entangle as entangle
 from fockseries.entangle import (
     _BUILD_CELLS,
     _GRAM_MAX_K,
-    _GRAM_TOL,
-    _LN2,
     MAX_DIM,
     _mass_window,
 )
 from fockseries.oracle import oracle_entropy
-from fockseries.series import _first_subunit_ratio_index, _ratio_constant, normalization_log
+from fockseries.series import (
+    _first_subunit_ratio_index,
+    _peak_width,
+    _ratio_constant,
+    normalization_log,
+)
 
 # 256-bit oracle pins
 S_Q05_K1_A05 = 0.125                    # exact
@@ -351,14 +354,22 @@ def dense_entropy(series, setting=BeamSplitterSetting()):
     return 1.0 - reduced_purity(split(series, setting))
 
 
+# tail mass each reference Gram column may leave outside its window, relative
+# to the mass inside
+GRAM_TOL = 1e-20
+LN2 = math.log(2.0)
+
+
 def reference_fock_gram(ln_lam, k):
-    """_fock_gram as first written, one numpy call per step over whole
-    (k, W) arrays (np.cumprod and np.cumsum down the columns) and a numpy
-    tail test: the reference its row recurrences must equal bit for bit."""
+    """Gram matrix of h_i(j) = lam^((j-i)/2) sqrt(j!)/(j-i)!, i <= k, at
+    lam = exp(ln_lam), summed as a Fock series over a window of j that doubles
+    until each column's geometric tail bound passes GRAM_TOL.  Each column is
+    scaled by lam^(i/2) 2^(-E_i) and all by one constant; returns the Gram
+    matrix and the exponents E."""
     lam = math.exp(ln_lam)
     j0 = int(lam)
     n_peak = _first_subunit_ratio_index(lam, k)
-    delta = entangle._peak_width(-2.0 * math.log(_GRAM_TOL), n_peak, k)
+    delta = _peak_width(-2.0 * math.log(GRAM_TOL), n_peak, k)
     i = np.arange(k + 1.0)
     while True:
         lo, hi = max(0, j0 - delta), k + n_peak + delta
@@ -368,11 +379,11 @@ def reference_fock_gram(ln_lam, k):
         ln_g = np.zeros(j.size)
         np.cumsum(half_ratio[c:], out=ln_g[c + 1:])
         ln_g[:c] = -np.cumsum(half_ratio[:c][::-1])[::-1]
-        e0 = np.floor(ln_g * (1.0 / _LN2))
+        e0 = np.floor(ln_g * (1.0 / LN2))
         m = np.empty((k + 1, j.size))
         e = np.empty((k + 1, j.size), dtype=np.int32)
         factors, fe = np.frexp(np.maximum(j - i[:k, None], 0.0))
-        m[0] = np.exp(ln_g - e0 * _LN2)
+        m[0] = np.exp(ln_g - e0 * LN2)
         np.cumprod(factors, axis=0, out=m[1:])
         m[1:] *= m[0]
         e[0] = e0
@@ -388,17 +399,21 @@ def reference_fock_gram(ln_lam, k):
         gram = f @ f.T
         mass = gram.diagonal()
         rho = lam * (hi + 1) / (hi + 1 - i) ** 2
-        ok = np.all((rho < 1.0) & (f[:, -1] ** 2 * rho <= _GRAM_TOL * (1.0 - rho) * mass))
+        ok = np.all((rho < 1.0) & (f[:, -1] ** 2 * rho <= GRAM_TOL * (1.0 - rho) * mass))
         if lo > 0:
             s = (lo - i[:lo]) ** 2 / (lam * lo)
-            ok &= np.all((s < 1.0) & (f[:lo, 0] ** 2 * s <= _GRAM_TOL * (1.0 - s) * mass[:lo]))
+            ok &= np.all((s < 1.0) & (f[:lo, 0] ** 2 * s <= GRAM_TOL * (1.0 - s) * mass[:lo]))
         if ok:
             return gram, top
         delta *= 2
 
 
 def reference_gram_purity(spec, setting):
-    """_gram_purity as first written, over reference_fock_gram."""
+    """Purity from the two Fock-series Grams: the splitter sends a†^k|beta>|0>
+    to sum_i u_i a†^i b†^(k-i) |t beta>|r beta>, u_i = C(k,i) t^i r^(k-i), so
+    with Phi = reference_fock_gram at x t^2, Psi the same at x r^2 and
+    M_ii' = u_i u_i' Psi_(k-i, k-i'), the purity is Tr((M Phi)^2)/Tr(M Phi)^2.
+    At x = 0, the Fock state |k>, rho_a is diagonal with the binomial weights."""
     k = spec.k
     t, r = math.cos(setting.theta), math.sin(setting.theta)
     x = _ratio_constant(spec) if spec.alpha_abs > 0.0 else 0.0
@@ -416,11 +431,12 @@ def reference_gram_purity(spec, setting):
     return float(np.sum(m_phi * m_phi.T) / np.trace(m_phi) ** 2)
 
 
-# (q, k, |alpha|, theta) at the ends of the Gram path's range
+# (q, k, |alpha|, theta) at the ends of the range the Fock-series reference
+# sums: x up to truncate's hard cap, and r^2 or x below the double range
 GRAM_EXTREMES = [
     (0.5, 3, 170.0, math.pi / 4.0),   # x = 1.85e6, near truncate's hard cap
     (1.0, 0, 1400.0, 0.3),            # x = 1.96e6
-    (0.9, _GRAM_MAX_K, 1.6, 1e-3),    # x = 1.8e6 at the largest Gram k
+    (0.9, 64, 1.6, 1e-3),             # x = 1.8e6, a reference window of 26000 rows
     (1.0, 3, 1e-160, math.pi / 2.0),  # x = 1e-320, subnormal
     (1.0, 3, 2.0, 1e-300),            # r^2 underflows
     (0.5, 3, 1e-200, math.pi / 4.0),  # x underflows to 0: the Fock value
@@ -430,10 +446,10 @@ GRAM_EXTREMES = [
 def gram_grid():
     """Seeded (q, k, |alpha|, theta): two draws of q in [0.3, 1] and |alpha| in
     [0, 3] for each k and theta, redrawn while x = |alpha|^2 q^(-2k) passes
-    2e6, beyond which truncate refuses the state before the Gram path."""
+    2e6, beyond which truncate refuses the state."""
     rng = np.random.default_rng(19)
     grid = []
-    for k in (0, 1, 3, 8, 16, 32, _GRAM_MAX_K):
+    for k in (0, 1, 3, 8, 16, 32, 64):
         for theta in (math.pi / 4.0, 1e-3, 0.3, math.pi / 2.0):
             draws = []
             while len(draws) < 2:
@@ -444,22 +460,10 @@ def gram_grid():
     return grid
 
 
-def assert_same_gram_bits(spec, setting):
-    """_gram_purity and both its _fock_gram calls equal the references bit for bit."""
-    assert entangle._gram_purity(spec, setting) == reference_gram_purity(spec, setting)
-    x = _ratio_constant(spec) if spec.alpha_abs > 0.0 else 0.0
-    if x > 0.0:
-        for g in (math.cos(setting.theta), math.sin(setting.theta)):
-            ln_lam = math.log(x) + 2.0 * math.log(g)
-            gram, top = entangle._fock_gram(ln_lam, spec.k)
-            ref_gram, ref_top = reference_fock_gram(ln_lam, spec.k)
-            assert gram.tobytes() == ref_gram.tobytes()
-            assert top.dtype == ref_top.dtype and top.tobytes() == ref_top.tobytes()
-
-
 class TestGramPath:
-    """A converged series with k <= _GRAM_MAX_K takes S from two (k+1) x (k+1)
-    Fock Gram matrices; the rest take split and reduced_purity."""
+    """A converged series with k <= _GRAM_MAX_K takes S from the (k+1) x (k+1)
+    joint amplitudes of its displaced frame; the rest take split and
+    reduced_purity."""
 
     @pytest.mark.parametrize("q, k, theta", [
         (0.5, 1, math.pi / 4.0), (0.5, 3, math.pi / 4.0), (0.8, 4, math.pi / 4.0),
@@ -471,17 +475,19 @@ class TestGramPath:
             s = linear_entropy(truncate(spec, AdaptiveTruncation()), setting).linear_entropy
             assert abs(s - float(oracle_entropy(spec, setting).linear_entropy)) <= 1e-15
 
-    @pytest.mark.parametrize("k", range(9))
+    @pytest.mark.parametrize("k", [*range(9), _GRAM_MAX_K])
     def test_fock_value_at_zero_alpha(self, k):
-        """1 - C(2k,k)/4^k at a 50:50 splitter."""
+        """1 - C(2k,k)/4^k at a 50:50 splitter; at k = _GRAM_MAX_K the factor
+        sqrt(C(j+l, j)) reaches 4.9e18."""
         s = linear_entropy(series_for(0.0, k)).linear_entropy
         assert abs(s - (1.0 - math.comb(2 * k, k) / 4.0 ** k)) <= 1e-15
 
     def test_builds_no_joint_matrix(self, monkeypatch):
         """At q=0.3, k=5, |alpha|=1 the dense D would be 172521."""
         def refuse(*args, **kwargs):
-            raise AssertionError("split called")
+            raise AssertionError("dense path called")
         monkeypatch.setattr(entangle, "split", refuse)
+        monkeypatch.setattr(entangle, "reduced_purity", refuse)
         for k in (0, 5, _GRAM_MAX_K):
             series = truncate(penson_solomon_state(1.0, k, 0.3 if k == 5 else 1.0),
                               AdaptiveTruncation())
@@ -509,46 +515,29 @@ class TestGramPath:
         gram = linear_entropy(series, setting).linear_entropy
         assert abs(gram - max(dense_entropy(series, setting), 0.0)) <= 1e-12
 
-    @pytest.mark.parametrize("q, k, alpha, theta", GRAM_EXTREMES)
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.5, 1.0), st.integers(0, _GRAM_MAX_K),
+           st.just(0.0) | st.floats(1e-8, 1e4), st.floats(1e-3, math.pi / 2.0))
+    @example(1.0, 1, 0.0, math.pi / 4.0)  # |1> on a 50:50 splitter: S = 1/2 exactly
+    def test_within_the_schmidt_rank_bound(self, q, k, x, theta):
+        """The joint amplitudes have rank at most k+1, so the purity is at
+        least 1/(k+1): 0 <= S <= k/(k+1)."""
+        series = series_for(math.sqrt(x) * q ** k, k, q)
+        assert series.converged
+        s = linear_entropy(series, BeamSplitterSetting(theta)).linear_entropy
+        assert 0.0 <= s <= k / (k + 1)
+
+    @pytest.mark.parametrize("q, k, alpha, theta", GRAM_EXTREMES + [
+        (1.0, _GRAM_MAX_K, 1400.0, 1e-300),         # x = 1.96e6: most c'_m and r^l underflow
+        (1.0, _GRAM_MAX_K, 1e-160, math.pi / 4.0)])  # x = 1e-320: beta = 1e-160
     def test_no_runtime_warning_at_the_extremes(self, q, k, alpha, theta):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s = linear_entropy(series_for(alpha, k, q), BeamSplitterSetting(theta)).linear_entropy
         assert 0.0 <= s < 1.0
 
-    def test_window_grows_until_certified(self, monkeypatch):
-        """A first window far too narrow is doubled until every column's tail
-        bound passes, and S comes out as from the usual window."""
-        setting = BeamSplitterSetting(0.3)
-        series = series_for(2.0, 3)
-        expected = linear_entropy(series, setting).linear_entropy
-        monkeypatch.setattr(entangle, "_peak_width", lambda z2, n_peak, k: 1)
-        assert abs(linear_entropy(series, setting).linear_entropy - expected) <= 1e-16
-
-    @pytest.mark.parametrize("q, k, alpha, theta", gram_grid())
-    def test_matches_the_reference_bitwise(self, q, k, alpha, theta):
-        assert_same_gram_bits(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
-
-    @pytest.mark.parametrize("q, k, alpha, theta", GRAM_EXTREMES)
-    def test_matches_the_reference_bitwise_at_the_extremes(self, q, k, alpha, theta):
-        assert_same_gram_bits(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
-
-    @pytest.mark.parametrize("q, k, alpha, theta", [
-        (0.5, 3, 2.0, 0.3), (1.0, 0, 1.5, math.pi / 4.0), (0.8, 8, 1.0, 1e-3),
-        (0.95, 32, 2.5, math.pi / 2.0)])
-    def test_matches_the_reference_bitwise_through_doubling(self, monkeypatch, q, k, alpha, theta):
-        """Both read _peak_width at call time, so both start from a width of 1."""
-        monkeypatch.setattr(entangle, "_peak_width", lambda z2, n_peak, k: 1)
-        assert_same_gram_bits(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
-
-    def test_largest_window_memory(self):
-        """(0.9, 64, 1.6) at theta = 1e-3 builds the largest Gram window, 26000
-        rows by 65 columns: no more than three (k+1) x W arrays live at once."""
-        series = series_for(1.6, _GRAM_MAX_K, q=0.9)
-        tracemalloc.start()
-        try:
-            linear_entropy(series, BeamSplitterSetting(1e-3))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 64 * 2 ** 20
+    @pytest.mark.parametrize("q, k, alpha, theta", gram_grid() + GRAM_EXTREMES)
+    def test_matches_the_fock_series_reference(self, q, k, alpha, theta):
+        spec, setting = penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta)
+        assert abs(entangle._displaced_purity(spec, setting)
+                   - reference_gram_purity(spec, setting)) <= 1e-15

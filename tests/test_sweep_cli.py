@@ -336,7 +336,7 @@ class TestCliExitCodes:
 
     def test_entropy_past_the_split_cap_exit_0(self, tmp_path):
         """At q=0.3, k=5 the dense path would need D = 9302 by |alpha| = 0.3
-        and 172521 at |alpha| = 1; converged series take the Gram path."""
+        and 172521 at |alpha| = 1; converged series take the displaced frame."""
         out = tmp_path / "s.csv"
         assert main(["sweep", "--observable", "linear_entropy", "--q", "0.3", "--k", "5",
                      "--alpha-max", "1", "--steps", "11", "--out", str(out)]) == 0
@@ -344,6 +344,17 @@ class TestCliExitCodes:
         assert len(rows) == 11 and all(r["converged"] == "true" for r in rows)
         ref = float(oracle_entropy(penson_solomon_state(1.0, 5, 0.3)).linear_entropy)
         assert rows[-1]["alpha"] == "1.0" and abs(float(rows[-1]["value"]) - ref) <= 1e-12
+
+    def test_entropy_at_k_100_exit_0(self, tmp_path):
+        """At q=0.9, k=100 the dense path would need D = 24041 by |alpha| =
+        0.004; |alpha| = 0.03 takes x to 1.3e6, below truncate's peak cap."""
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--observable", "linear_entropy", "--q", "0.9", "--k", "100",
+                     "--alpha-max", "0.03", "--steps", "16", "--out", str(out)]) == 0
+        _, rows = read_curve_csv(out)
+        assert len(rows) == 16 and all(r["converged"] == "true" for r in rows)
+        fock = 1.0 - math.comb(200, 100) / 4 ** 100  # |100> on a 50:50 splitter
+        assert abs(float(rows[0]["value"]) - fock) <= 1e-15
 
     @pytest.mark.parametrize("tol", ["1e-320", "5e-324"])
     def test_subnormal_tolerance_exit_0(self, tmp_path, tol):
