@@ -460,6 +460,42 @@ def gram_grid():
     return grid
 
 
+def reference_displaced_purity(spec, setting):
+    """_displaced_purity written entry by entry: c' by its term ratios
+    outward from the largest term, A'(j, l) = c'_(j+l) sqrt(C(j+l, j)) t^j r^l
+    for j + l <= k with entries below 1e-150 dropped.  Its numpy recurrences,
+    strided Hankel view and cached factors must equal this bit for bit.  The
+    powers of t and r come from numpy's power, as there, since it may round
+    differently from math.pow."""
+    k = spec.k
+    t, r = math.cos(setting.theta), math.sin(setting.theta)
+    beta = math.sqrt(_ratio_constant(spec)) if spec.alpha_abs > 0.0 else 0.0
+    down = [beta * (math.sqrt(m + 1.0) / (k - m)) for m in range(k)]  # c'_m / c'_(m+1)
+    peak = sum(d <= 1.0 for d in down)
+    c = [0.0] * (k + 1)
+    c[peak] = 1.0
+    for m in range(peak - 1, -1, -1):
+        c[m] = c[m + 1] * down[m]
+    for m in range(peak, k):
+        c[m + 1] = c[m] * (1.0 / down[m])
+    t_pow, r_pow = t ** np.arange(k + 1.0), r ** np.arange(k + 1.0)
+    a = np.zeros((k + 1, k + 1))
+    for j in range(k + 1):
+        for l in range(k + 1 - j):
+            v = c[j + l] * math.sqrt(math.comb(j + l, j)) * t_pow[j] * r_pow[l]
+            a[j, l] = v if v >= 1e-150 else 0.0
+    rho = a @ a.T
+    return float((rho * rho).sum() / rho.trace() ** 2)
+
+
+def assert_matches_the_references(spec, setting):
+    """_displaced_purity equals reference_displaced_purity bit for bit and the
+    Fock-series reference_gram_purity to 1e-15."""
+    purity = entangle._displaced_purity(spec, setting)
+    assert purity == reference_displaced_purity(spec, setting)
+    assert abs(purity - reference_gram_purity(spec, setting)) <= 1e-15
+
+
 class TestGramPath:
     """A converged series with k <= _GRAM_MAX_K takes S from the (k+1) x (k+1)
     joint amplitudes of its displaced frame; the rest take split and
@@ -536,8 +572,33 @@ class TestGramPath:
             s = linear_entropy(series_for(alpha, k, q), BeamSplitterSetting(theta)).linear_entropy
         assert 0.0 <= s < 1.0
 
-    @pytest.mark.parametrize("q, k, alpha, theta", gram_grid() + GRAM_EXTREMES)
-    def test_matches_the_fock_series_reference(self, q, k, alpha, theta):
-        spec, setting = penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta)
-        assert abs(entangle._displaced_purity(spec, setting)
-                   - reference_gram_purity(spec, setting)) <= 1e-15
+    @pytest.mark.parametrize("q, k, alpha, theta", gram_grid())
+    def test_matches_the_reference_bitwise(self, q, k, alpha, theta):
+        assert_matches_the_references(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
+
+    @pytest.mark.parametrize("q, k, alpha, theta", GRAM_EXTREMES)
+    def test_matches_the_reference_bitwise_at_the_extremes(self, q, k, alpha, theta):
+        assert_matches_the_references(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
+
+    @pytest.mark.parametrize("q, k, alpha, theta", [
+        (0.5, 3, 2.0, 0.3), (1.0, 0, 1.5, math.pi / 4.0), (0.8, 8, 1.0, 1e-3),
+        (0.95, 32, 2.5, math.pi / 2.0)])
+    def test_matches_the_reference_bitwise_through_doubling(self, monkeypatch, q, k, alpha, theta):
+        """The Fock-series reference reads _peak_width at call time, so it
+        starts from a width of 1 and doubles its window until every column's
+        tail bound passes; the displaced purity still matches it."""
+        monkeypatch.setitem(globals(), "_peak_width", lambda z2, n_peak, k: 1)
+        assert_matches_the_references(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
+
+    def test_largest_window_memory(self):
+        """(0.9, 64, 1.6) at theta = 1e-3 needs the Fock-series reference's
+        largest window, 26000 rows by 65 columns; the displaced frame holds
+        only (k+1) x (k+1) arrays, and its call stays within 1 MiB."""
+        series = series_for(1.6, 64, q=0.9)
+        tracemalloc.start()
+        try:
+            linear_entropy(series, BeamSplitterSetting(1e-3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
