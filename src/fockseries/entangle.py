@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import HardCapExceeded, InvalidParameter, UnnormalizedInput
 from .series import (
+    _CLOSED_FORM_MAX_K,
     TruncatedSeries,
     _point,
     _ratio_constant,
@@ -50,12 +51,6 @@ MAX_DIM = 8192
 _TRIM_MASS = 1e-30
 _BLOCK = 32  # box rows per Gram product
 _BUILD_CELLS = 1 << 15  # cells per row block of split's build (256 KB)
-# largest k whose converged series take the displaced frame: timed against
-# split + reduced_purity at q = 1 and small x (one BLAS thread, 2-vCPU x86
-# host), it is 2-3x faster at k = 128 and the two cost the same near k = 200,
-# but from k ~ 136 on the dense path's own error reaches the 1e-11 the two
-# are held to at this crossover
-_GRAM_MAX_K = 128
 
 
 @dataclass(frozen=True)
@@ -247,9 +242,9 @@ def linear_entropy(series: TruncatedSeries,
     matrix.  Its S is that of the untruncated state, good to about 1e-15
     absolute, at about 25 us a point for k = 3 on a 2-vCPU x86 host;
     ``series`` supplies only the state and the gate.  An unconverged series
-    is not rank k+1 (its cut at m < D does not factor), and past k = 128 the
-    series stays on the dense path (see _GRAM_MAX_K): both take ``split``
-    and ``reduced_purity``, whose dimension cap can refuse them.
+    is not rank k+1 (its cut at m < D does not factor), and past k = 128
+    (_CLOSED_FORM_MAX_K) the series stays on the dense path: both take
+    ``split`` and ``reduced_purity``, whose dimension cap can refuse them.
 
     S is clamped at 0: a pure reduced state's purity can round a few ulps
     above 1.  ``purity`` keeps the raw value.  An unconverged series (a
@@ -261,7 +256,7 @@ def linear_entropy(series: TruncatedSeries,
             "series is not converged; pass allow_unconverged=True to propagate it anyway")
     if not isinstance(setting, BeamSplitterSetting):
         raise InvalidParameter("setting must be a BeamSplitterSetting")
-    if series.converged and series.spec.k <= _GRAM_MAX_K:
+    if series.converged and series.spec.k <= _CLOSED_FORM_MAX_K:
         purity = _displaced_purity(series.spec, setting)
     else:
         purity = reduced_purity(split(series, setting))

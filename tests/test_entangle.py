@@ -25,12 +25,12 @@ from fockseries import (
 import fockseries.entangle as entangle
 from fockseries.entangle import (
     _BUILD_CELLS,
-    _GRAM_MAX_K,
     MAX_DIM,
     _mass_window,
 )
 from fockseries.oracle import oracle_entropy
 from fockseries.series import (
+    _CLOSED_FORM_MAX_K,
     _first_subunit_ratio_index,
     _peak_width,
     _ratio_constant,
@@ -497,9 +497,9 @@ def assert_matches_the_references(spec, setting):
 
 
 class TestGramPath:
-    """A converged series with k <= _GRAM_MAX_K takes S from the (k+1) x (k+1)
-    joint amplitudes of its displaced frame; the rest take split and
-    reduced_purity."""
+    """A converged series with k <= _CLOSED_FORM_MAX_K takes S from the
+    (k+1) x (k+1) joint amplitudes of its displaced frame; the rest take split
+    and reduced_purity."""
 
     @pytest.mark.parametrize("q, k, theta", [
         (0.5, 1, math.pi / 4.0), (0.5, 3, math.pi / 4.0), (0.8, 4, math.pi / 4.0),
@@ -511,10 +511,10 @@ class TestGramPath:
             s = linear_entropy(truncate(spec, AdaptiveTruncation()), setting).linear_entropy
             assert abs(s - float(oracle_entropy(spec, setting).linear_entropy)) <= 1e-15
 
-    @pytest.mark.parametrize("k", [*range(9), _GRAM_MAX_K])
+    @pytest.mark.parametrize("k", [*range(9), _CLOSED_FORM_MAX_K])
     def test_fock_value_at_zero_alpha(self, k):
-        """1 - C(2k,k)/4^k at a 50:50 splitter; at k = _GRAM_MAX_K the factor
-        sqrt(C(j+l, j)) reaches 4.9e18."""
+        """1 - C(2k,k)/4^k at a 50:50 splitter; at k = _CLOSED_FORM_MAX_K the
+        factor sqrt(C(j+l, j)) reaches 4.9e18."""
         s = linear_entropy(series_for(0.0, k)).linear_entropy
         assert abs(s - (1.0 - math.comb(2 * k, k) / 4.0 ** k)) <= 1e-15
 
@@ -524,14 +524,14 @@ class TestGramPath:
             raise AssertionError("dense path called")
         monkeypatch.setattr(entangle, "split", refuse)
         monkeypatch.setattr(entangle, "reduced_purity", refuse)
-        for k in (0, 5, _GRAM_MAX_K):
+        for k in (0, 5, _CLOSED_FORM_MAX_K):
             series = truncate(penson_solomon_state(1.0, k, 0.3 if k == 5 else 1.0),
                               AdaptiveTruncation())
             assert 0.0 <= linear_entropy(series).linear_entropy < 1.0
 
     def test_dense_path_for_unconverged_series_and_large_k(self):
         fixed = truncate(penson_solomon_state(3.0, 3, 0.5), FixedTruncation(n_max=100))
-        past = series_for(0.5, _GRAM_MAX_K + 1, q=1.0)
+        past = series_for(0.5, _CLOSED_FORM_MAX_K + 1, q=1.0)
         assert not fixed.converged and past.converged
         for series in (fixed, past):
             result = linear_entropy(series, allow_unconverged=True)
@@ -539,7 +539,7 @@ class TestGramPath:
 
     @pytest.mark.parametrize("alpha", [0.5, 5.0])
     def test_both_paths_agree_at_the_crossover(self, alpha):
-        series = series_for(alpha, _GRAM_MAX_K, q=1.0)
+        series = series_for(alpha, _CLOSED_FORM_MAX_K, q=1.0)
         assert abs(linear_entropy(series).linear_entropy - dense_entropy(series)) <= 1e-11
 
     @settings(max_examples=60, deadline=None)
@@ -552,7 +552,7 @@ class TestGramPath:
         assert abs(gram - max(dense_entropy(series, setting), 0.0)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(st.floats(0.5, 1.0), st.integers(0, _GRAM_MAX_K),
+    @given(st.floats(0.5, 1.0), st.integers(0, _CLOSED_FORM_MAX_K),
            st.just(0.0) | st.floats(1e-8, 1e4), st.floats(1e-3, math.pi / 2.0))
     @example(1.0, 1, 0.0, math.pi / 4.0)  # |1> on a 50:50 splitter: S = 1/2 exactly
     def test_within_the_schmidt_rank_bound(self, q, k, x, theta):
@@ -564,8 +564,8 @@ class TestGramPath:
         assert 0.0 <= s <= k / (k + 1)
 
     @pytest.mark.parametrize("q, k, alpha, theta", GRAM_EXTREMES + [
-        (1.0, _GRAM_MAX_K, 1400.0, 1e-300),         # x = 1.96e6: most c'_m and r^l underflow
-        (1.0, _GRAM_MAX_K, 1e-160, math.pi / 4.0)])  # x = 1e-320: beta = 1e-160
+        (1.0, _CLOSED_FORM_MAX_K, 1400.0, 1e-300),         # x = 1.96e6: most c'_m and r^l underflow
+        (1.0, _CLOSED_FORM_MAX_K, 1e-160, math.pi / 4.0)])  # x = 1e-320: beta = 1e-160
     def test_no_runtime_warning_at_the_extremes(self, q, k, alpha, theta):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

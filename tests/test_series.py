@@ -1,4 +1,5 @@
 """Series weights, certified truncation, and photon statistics."""
+import dataclasses
 import math
 import os
 import subprocess
@@ -29,12 +30,15 @@ from fockseries import (
 )
 from fockseries.oracle import oracle_statistics
 from fockseries.series import (
+    _CLOSED_FORM_MAX_K,
     TruncatedSeries,
+    _closed_statistics,
     _first_subunit_ratio_index,
     _logsumexp,
     _point,
     _ratio,
     _ratio_constant,
+    _retained_statistics,
 )
 
 # extended-precision oracle pins (criterion 4 runs the oracle live on its
@@ -580,3 +584,73 @@ class TestPhotonStatistics:
         assert normalization_log(series) == 0.0
         pinned = normalization_log(adaptive_series(0.5, 1, 0.5))
         assert abs(pinned - LNN_Q05_K1_A05) < 1e-13
+
+
+def closed_form_grid(size=240, seed=22):
+    """Seeded states over q in [0.3, 1], k in {0..8, 64, 128} and x =
+    |alpha|^2 q^(-2k) log-uniform in [1e-12, 2e6]."""
+    rng = np.random.default_rng(seed)
+    ks = [*range(9), 64, _CLOSED_FORM_MAX_K]
+    for _ in range(size):
+        q, k = float(rng.uniform(0.3, 1.0)), int(rng.choice(ks))
+        x = math.exp(rng.uniform(math.log(1e-12), math.log(2e6)))
+        yield penson_solomon_state(math.sqrt(x) * q ** k, k, q)
+
+
+class TestClosedFormStatistics:
+    """A converged series with k <= _CLOSED_FORM_MAX_K takes its moments from
+    the Laguerre ratios of the untruncated state; the rest from the retained
+    distribution."""
+
+    @pytest.mark.parametrize("alpha", [1e-4, 2e-4, 1e-3])
+    def test_coherent_state_is_exactly_poissonian(self, alpha):
+        """The retained distribution gave -1.0e-8, -4.0e-8 and -1.0e-12."""
+        assert photon_statistics(adaptive_series(alpha, 0, 1.0)).mandel_q == 0.0
+
+    @pytest.mark.parametrize("alpha", [1e-4, 2e-4, 1e-3])
+    def test_one_added_photon_at_small_alpha_matches_the_oracle(self, alpha):
+        spec = penson_solomon_state(alpha, 1, 1.0)
+        got = photon_statistics(truncate(spec, AdaptiveTruncation())).mandel_q
+        assert abs(got - float(oracle_statistics(spec).mandel_q)) <= 1e-15
+
+    def test_matches_the_oracle_on_a_seeded_grid(self):
+        for spec in closed_form_grid():
+            got = photon_statistics(truncate(spec, AdaptiveTruncation()))
+            ref = oracle_statistics(spec)
+            assert abs(got.mandel_q - float(ref.mandel_q)) <= 1e-14, _point(spec)
+            assert abs(got.mean_n / float(ref.mean_n) - 1.0) <= 1e-15, _point(spec)
+            assert abs(got.variance / float(ref.variance) - 1.0) <= 1e-13, _point(spec)
+
+    def test_matches_the_retained_moments_on_a_seeded_grid(self):
+        """The oracle takes the same Laguerre values, so hold the closed form
+        to the retained distribution at rel_tol = 1e-30 too, a path sharing
+        no formula with it.  Var = (Q + 1) <m>, so Q and the mean cover both
+        moments.  Q's 2e-12 is the retained distribution's own accuracy at
+        x ~ 2e6 (test_mandel_q_at_large_x_matches_the_oracle), where its
+        log-ratio sums leave it up to 1.4e-12 off on this grid."""
+        for spec in closed_form_grid():
+            got = _closed_statistics(spec)
+            ref = _retained_statistics(truncate(spec, AdaptiveTruncation(1e-30)))
+            assert abs(got.mandel_q - ref.mandel_q) <= 2e-12, _point(spec)
+            assert abs(got.mean_n / ref.mean_n - 1.0) <= 1e-12, _point(spec)
+
+    def test_reads_no_log_weights(self):
+        """Converged series with k <= _CLOSED_FORM_MAX_K give the same moments
+        from NaN log-weights; past the cap the NaNs reach the moments."""
+        for k in (0, 5, _CLOSED_FORM_MAX_K, _CLOSED_FORM_MAX_K + 1):
+            series = adaptive_series(1.0, k, 0.3 if k == 5 else 1.0)
+            blind = dataclasses.replace(series, log_weights=np.full_like(series.log_weights,
+                                                                         np.nan))
+            if k <= _CLOSED_FORM_MAX_K:
+                assert photon_statistics(blind) == photon_statistics(series)
+            else:
+                assert math.isnan(photon_statistics(blind).mean_n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.01, 1.0), st.integers(0, _CLOSED_FORM_MAX_K), st.floats(0.0, 2e6))
+    def test_moments_are_physical(self, q, k, x):
+        stats = _closed_statistics(penson_solomon_state(math.sqrt(x) * q ** k, k, q))
+        assume(stats.mandel_q is not None)  # the vacuum
+        assert stats.mean_n >= k
+        assert stats.variance >= 0.0
+        assert -1.0 <= stats.mandel_q <= 0.0
