@@ -21,7 +21,10 @@ evaluated as ln(w_n/w_a) for an anchor a at its largest term: the sum of the
 log-ratios ln c + ln(n+k+1) - 2 ln(n+1), outward from a in both directions,
 so no large log is rounded before the ratios are taken.  One log_weight call
 at a makes them absolute.  Adaptive truncation stops once the bound is below
-the requested tolerance, keeping two terms at least.
+the requested tolerance, keeping two terms at least.  The index arrays
+(n+k+1, ln(n+k+1), 2 ln(n+1), (n+1)^2) are slices of one lazily grown table of
+j, ln j and j^2 capped at 2^14 columns (3 x 128 KB), so that its memory does
+not grow with k; a series past the cap computes them directly, to the same bits.
 """
 from __future__ import annotations
 
@@ -42,6 +45,8 @@ DEFAULT_REL_TOL = 1e-14
 # displaced frame beats split + reduced_purity up to k ~ 200, but from k ~ 136
 # on the dense path errs past the 1e-11 the two are held to at this crossover
 _CLOSED_FORM_MAX_K = 128
+_TABLE_CAP = 1 << 14  # most columns of the index table of j, ln j and j^2
+_table = np.empty((3, 0))
 
 
 @dataclass(frozen=True)
@@ -213,12 +218,39 @@ def _sum_outward(log_ratios: np.ndarray, anchor: int) -> np.ndarray:
     return out
 
 
+def _index_table(size: int) -> np.ndarray | None:
+    """Read-only rows j, ln j, j^2 for j = 1..size at least (column j - 1), or
+    None past _TABLE_CAP.  Grown to the next power of two; a call returns the
+    table it checked, so another thread's grow cannot narrow it."""
+    global _table
+    if size > _TABLE_CAP:
+        return None
+    t = _table
+    if size > t.shape[1]:
+        j = np.arange(1.0, min(1 << (size - 1).bit_length(), _TABLE_CAP) + 1)
+        t = np.stack((j, np.log(j), j * j))
+        t.flags.writeable = False
+        _table = t
+    return t
+
+
 def _log_ratio_sums(k: int, ln_c: float, anchor: int, size: int) -> np.ndarray:
     """ln(w_n/w_anchor) for n < size: the log-ratios ln c + ln(n+k+1) - 2 ln(n+1)
     summed outward from the anchor.  A term's value depends only on the terms
     between it and the anchor, not on size."""
-    m = np.arange(1.0, size)  # n + 1
-    return _sum_outward(ln_c + np.log(m + k) - 2.0 * np.log(m), anchor)
+    t = _index_table(k + size - 1)
+    if t is None:
+        m = np.arange(1.0, size)  # n + 1
+        return _sum_outward(ln_c + np.log(m + k) - 2.0 * np.log(m), anchor)
+    return _sum_outward(ln_c + t[1, k:k + size - 1] - 2.0 * t[1, :size - 1], anchor)
+
+
+def _ratios(c: float, k: int, first: int, end: int) -> np.ndarray:
+    """_ratio(c, k, n) for n = first..end."""
+    t = _index_table(k + end + 1)
+    if t is None:
+        return _ratio(c, k, np.arange(first, end + 1.0))
+    return c * t[0, first + k:end + k + 1] / t[2, first:end + 1]
 
 
 def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
@@ -244,8 +276,7 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
         end = min(n_peak + width, DEFAULT_HARD_CAP)
         rel = _log_ratio_sums(k, ln_c, n_peak, end + 1)
         e = np.exp(rel)
-        bounds = _tail_bound(e[first:], _ratio(c, k, np.arange(first, end + 1.0)),
-                             np.add.accumulate(e)[first:])
+        bounds = _tail_bound(e[first:], _ratios(c, k, first, end), np.add.accumulate(e)[first:])
         i = int((bounds <= policy.rel_tol).argmax())
         if bounds[i] <= policy.rel_tol:
             lws = rel[:first + i + 1] + log_weight(spec, n_peak)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 import fockseries
+import fockseries.series as series
 from fockseries import (
     DEFAULT_HARD_CAP,
     AdaptiveTruncation,
@@ -323,6 +324,108 @@ class TestChunkedTail:
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 1 << 20
+
+
+def direct_log_ratio_sums(k, ln_c, anchor, size):
+    """_log_ratio_sums with its index arrays built on every call, as before
+    the cached table."""
+    m = np.arange(1.0, size)  # n + 1
+    return series._sum_outward(ln_c + np.log(m + k) - 2.0 * np.log(m), anchor)
+
+
+def direct_ratios(c, k, first, end):
+    return _ratio(c, k, np.arange(first, end + 1.0))
+
+
+def direct_truncate(spec, policy):
+    """truncate with both kernels computing their index arrays directly."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_log_ratio_sums", direct_log_ratio_sums)
+        mp.setattr(series, "_ratios", direct_ratios)
+        return truncate(spec, policy)
+
+
+def assert_same_bits(spec, policy):
+    """truncate and direct_truncate agree bit for bit, or raise the same error."""
+    try:
+        ref = direct_truncate(spec, policy)
+    except HardCapExceeded as exc:
+        with pytest.raises(HardCapExceeded) as got:
+            truncate(spec, policy)
+        assert str(got.value) == str(exc)
+        return
+    got = truncate(spec, policy)
+    assert got.log_weights.tobytes() == ref.log_weights.tobytes(), _point(spec)
+    assert got.tail_bound_rel.hex() == ref.tail_bound_rel.hex(), _point(spec)
+    assert (got.n_max, got.converged) == (ref.n_max, ref.converged), _point(spec)
+
+
+def index_table_grid(size=300, seed=23):
+    """Seeded (spec, policy): k in {0..8, 64, 128, 300, 2e6}, x log-uniform in
+    [1e-12, 2e6] (up to 1e-3 at k = 2e6, q = 1), adaptive rel_tol in
+    [1e-30, 1e-8] or a fixed cutoff in 0..700."""
+    rng = np.random.default_rng(seed)
+    ks = [*range(9), 64, 128, 300, 2_000_000]
+    for _ in range(size):
+        k = int(rng.choice(ks))
+        q = 1.0 if k == 2_000_000 else float(rng.uniform(0.3, 1.0))
+        x = math.exp(rng.uniform(math.log(1e-12), math.log(1e-3 if k == 2_000_000 else 2e6)))
+        policy = (AdaptiveTruncation(10.0 ** rng.uniform(-30, -8)) if rng.random() < 0.5
+                  else FixedTruncation(n_max=int(rng.integers(0, 701))))
+        yield penson_solomon_state(math.sqrt(x) * q ** k, k, q), policy
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    """An unbuilt index table, restored to the shared one afterwards."""
+    monkeypatch.setattr(series, "_table", np.empty((3, 0)))
+
+
+class TestIndexTable:
+    """truncate takes j, ln j and j^2 from a table of at most _TABLE_CAP
+    columns, past which it computes them; either way the bits are those of
+    arrays built afresh on every call."""
+
+    def test_same_bits_on_a_seeded_grid(self, empty_table):
+        for spec, policy in index_table_grid():
+            assert_same_bits(spec, policy)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_same_bits_at_the_cap(self, empty_table, offset):
+        """The two kernels and a fixed-cutoff series each needing
+        _TABLE_CAP + offset columns: k + size - 1 for the log-ratio sums of
+        size terms, k + end + 1 for the ratios up to n = end."""
+        k, c = series._TABLE_CAP + offset - 501, 0.25
+        got = series._log_ratio_sums(k, math.log(c), 0, 502)
+        assert got.tobytes() == direct_log_ratio_sums(k, math.log(c), 0, 502).tobytes()
+        assert series._ratios(c, k, 3, 500).tobytes() == direct_ratios(c, k, 3, 500).tobytes()
+        assert_same_bits(penson_solomon_state(0.5, k, 1.0), FixedTruncation(n_max=501))
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_same_bits_in_either_call_order(self, empty_table, order):
+        """A series past the cap and two within it, the larger first or last."""
+        specs = [penson_solomon_state(128.0, 0, 1.0), penson_solomon_state(2.75, 3, 0.5),
+                 penson_solomon_state(0.5, 1, 0.5)]
+        for spec in specs[::order]:
+            assert_same_bits(spec, AdaptiveTruncation())
+
+    def test_retained_size(self, empty_table, monkeypatch):
+        """At most twice the columns a fig2-sized call needs, and at most
+        _TABLE_CAP after a call past the cap."""
+        needs = []
+        index_table = series._index_table
+
+        def recorded(size):
+            needs.append(size)
+            return index_table(size)
+
+        monkeypatch.setattr(series, "_index_table", recorded)
+        for policy in (FixedTruncation(n_max=700), AdaptiveTruncation()):
+            truncate(penson_solomon_state(2.75, 3, 0.5), policy)
+        assert 0 < series._table.shape[1] <= 2 * max(needs)
+        truncate(penson_solomon_state(300.0, 0, 1.0), AdaptiveTruncation())
+        assert max(needs) > series._TABLE_CAP
+        assert series._table.shape[1] <= series._TABLE_CAP
 
 
 class TestTruncate:
