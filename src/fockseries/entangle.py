@@ -185,14 +185,14 @@ def reduced_purity(amps: JointAmplitudes) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _displaced_factors(k: int, theta: float) -> tuple[np.ndarray, ...]:
-    """Read-only t^m and r^m for m = 0..k, sqrt(m+1)/(k-m) for m < k, and the
-    (k+1) x (k+1) Hankel factor sqrt(C(j+l, j)), 0 past j + l = k."""
+def _displaced_factors(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only m = 0..k, sqrt(m+1)/(k-m) for m < k, and the (k+1) x (k+1)
+    Hankel factor sqrt(C(j+l, j)), 0 past j + l = k."""
     m = np.arange(k + 1.0)
     roots = np.zeros((k + 1, k + 1))
     for j in range(k + 1):
         roots[j, :k + 1 - j] = [math.sqrt(math.comb(j + l, j)) for l in range(k + 1 - j)]
-    factors = (math.cos(theta) ** m, math.sin(theta) ** m, np.sqrt(m[1:]) / (k - m[:k]), roots)
+    factors = (m, np.sqrt(m[1:]) / (k - m[:k]), roots)
     for f in factors:
         f.flags.writeable = False
     return factors
@@ -211,8 +211,9 @@ def _displaced_purity(spec: StateSpec, setting: BeamSplitterSetting) -> float:
     and the purity is ||A' A'^T||_F^2 / Tr(A' A'^T)^2.
     """
     k = spec.k
+    t, r = math.cos(setting.theta), math.sin(setting.theta)
     beta = math.sqrt(_ratio_constant(spec)) if spec.alpha_abs > 0.0 else 0.0
-    t_pow, r_pow, root_ratio, roots = _displaced_factors(k, setting.theta)
+    m, root_ratio, roots = _displaced_factors(k)
     down = beta * root_ratio  # c'_m / c'_(m+1), rising with m
     peak = int(np.searchsorted(down, 1.0, side="right"))
     c = np.zeros(2 * k + 1)  # c'_m, then the zeros a Hankel view reads past m = k
@@ -220,8 +221,8 @@ def _displaced_purity(spec: StateSpec, setting: BeamSplitterSetting) -> float:
     c[:peak] = np.multiply.accumulate(down[:peak][::-1])[::-1]
     np.multiply.accumulate(1.0 / down[peak:], out=c[peak + 1:k + 1])
     a = np.ndarray((k + 1, k + 1), np.float64, c, 0, (8, 8)) * roots
-    a *= t_pow[:, None]
-    a *= r_pow
+    a *= (t ** m)[:, None]
+    a *= r ** m
     # each dropped entry weighs < 1e-300 against a squared norm >= c'_peak^2 = 1,
     # and no product in the Gram below is subnormal (slow in BLAS)
     a[a < 1e-150] = 0.0
@@ -239,11 +240,12 @@ def linear_entropy(series: TruncatedSeries,
     (k+1) x (k+1) joint amplitudes of the photon-added coherent state it
     truncates, in its displaced frame (module docstring), with no D x D
     matrix.  Its S is that of the untruncated state, good to about 1e-15
-    absolute, at about 30 us a point for k = 3 on a 2-vCPU x86 host;
-    ``series`` supplies only the state and the gate.  An unconverged series
-    is not rank k+1 (its cut at m < D does not factor), and past k = 128
-    (_CLOSED_FORM_MAX_K) the series stays on the dense path: both take
-    ``split`` and ``reduced_purity``, whose dimension cap can refuse them.
+    absolute, at 20 to 40 us a point for k = 3 on a shared 2-vCPU x86 host
+    (its load sets which); ``series`` supplies only the state and the gate.
+    An unconverged series is not rank k+1 (its cut at m < D does not
+    factor), and past k = 128 (_CLOSED_FORM_MAX_K) the series stays on the
+    dense path: both take ``split`` and ``reduced_purity``, whose dimension
+    cap can refuse them.
 
     S is clamped at 0: a pure reduced state's purity can round a few ulps
     above 1.  ``purity`` keeps the raw value.  An unconverged series (a

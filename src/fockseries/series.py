@@ -218,39 +218,34 @@ def _sum_outward(log_ratios: np.ndarray, anchor: int) -> np.ndarray:
     return out
 
 
-def _index_table(size: int) -> np.ndarray | None:
-    """Read-only rows j, ln j, j^2 for j = 1..size at least (column j - 1), or
-    None past _TABLE_CAP.  Grown to the next power of two; a call returns the
-    table it checked, so another thread's grow cannot narrow it."""
+def _index_rows(lo: int, hi: int) -> np.ndarray:
+    """Rows j, ln j, j^2 for j = lo+1..hi: computed afresh past _TABLE_CAP,
+    else a read-only slice of the table grown to the next power of two (of the
+    table this call checked, so another thread's grow cannot narrow it)."""
     global _table
-    if size > _TABLE_CAP:
-        return None
+    if hi > _TABLE_CAP:
+        j = np.arange(lo + 1.0, hi + 1)
+        return np.stack((j, np.log(j), j * j))
     t = _table
-    if size > t.shape[1]:
-        j = np.arange(1.0, min(1 << (size - 1).bit_length(), _TABLE_CAP) + 1)
+    if hi > t.shape[1]:
+        j = np.arange(1.0, min(1 << (hi - 1).bit_length(), _TABLE_CAP) + 1)
         t = np.stack((j, np.log(j), j * j))
         t.flags.writeable = False
         _table = t
-    return t
+    return t[:, lo:hi]
 
 
 def _log_ratio_sums(k: int, ln_c: float, anchor: int, size: int) -> np.ndarray:
     """ln(w_n/w_anchor) for n < size: the log-ratios ln c + ln(n+k+1) - 2 ln(n+1)
     summed outward from the anchor.  A term's value depends only on the terms
     between it and the anchor, not on size."""
-    t = _index_table(k + size - 1)
-    if t is None:
-        m = np.arange(1.0, size)  # n + 1
-        return _sum_outward(ln_c + np.log(m + k) - 2.0 * np.log(m), anchor)
-    return _sum_outward(ln_c + t[1, k:k + size - 1] - 2.0 * t[1, :size - 1], anchor)
+    return _sum_outward(ln_c + _index_rows(k, k + size - 1)[1]
+                        - 2.0 * _index_rows(0, size - 1)[1], anchor)
 
 
 def _ratios(c: float, k: int, first: int, end: int) -> np.ndarray:
     """_ratio(c, k, n) for n = first..end."""
-    t = _index_table(k + end + 1)
-    if t is None:
-        return _ratio(c, k, np.arange(first, end + 1.0))
-    return c * t[0, first + k:end + k + 1] / t[2, first:end + 1]
+    return c * _index_rows(first + k, end + k + 1)[0] / _index_rows(first, end + 1)[2]
 
 
 def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,

@@ -488,28 +488,6 @@ def reference_displaced_purity(spec, setting):
     return float((rho * rho).sum() / rho.trace() ** 2)
 
 
-def inline_powers_purity(spec, setting):
-    """_displaced_purity with t^m and r^m taken on every call, as before they
-    were cached with the other factors."""
-    k = spec.k
-    t, r = math.cos(setting.theta), math.sin(setting.theta)
-    beta = math.sqrt(_ratio_constant(spec)) if spec.alpha_abs > 0.0 else 0.0
-    m = np.arange(k + 1.0)
-    _, _, root_ratio, roots = entangle._displaced_factors(k, setting.theta)
-    down = beta * root_ratio
-    peak = int(np.searchsorted(down, 1.0, side="right"))
-    c = np.zeros(2 * k + 1)
-    c[peak] = 1.0
-    c[:peak] = np.multiply.accumulate(down[:peak][::-1])[::-1]
-    np.multiply.accumulate(1.0 / down[peak:], out=c[peak + 1:k + 1])
-    a = np.ndarray((k + 1, k + 1), np.float64, c, 0, (8, 8)) * roots
-    a *= (t ** m)[:, None]
-    a *= r ** m
-    a[a < 1e-150] = 0.0
-    rho = a @ a.T
-    return float((rho * rho).sum() / rho.trace() ** 2)
-
-
 def assert_matches_the_references(spec, setting):
     """_displaced_purity equals reference_displaced_purity bit for bit and the
     Fock-series reference_gram_purity to 1e-15."""
@@ -602,15 +580,15 @@ class TestGramPath:
     def test_matches_the_reference_bitwise_at_the_extremes(self, q, k, alpha, theta):
         assert_matches_the_references(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
 
-    @pytest.mark.parametrize("q, k, alpha, theta", gram_grid() + GRAM_EXTREMES)
-    def test_cached_powers_match_inline_powers_bitwise(self, q, k, alpha, theta):
-        spec, setting = penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta)
-        t_pow, r_pow, _, _ = entangle._displaced_factors(k, theta)
-        m = np.arange(k + 1.0)
-        assert t_pow.tobytes() == (math.cos(theta) ** m).tobytes()
-        assert r_pow.tobytes() == (math.sin(theta) ** m).tobytes()
-        assert (entangle._displaced_purity(spec, setting).hex()
-                == inline_powers_purity(spec, setting).hex())
+    def test_new_theta_keeps_the_hankel_factors(self):
+        """A scan over theta reuses the Hankel factors, which depend on k
+        alone: at k = 128 a rebuild costs milliseconds, a point about 0.2 ms."""
+        spec = penson_solomon_state(1.5, 128, 0.9)
+        entangle._displaced_purity(spec, BeamSplitterSetting(0.5))
+        misses = entangle._displaced_factors.cache_info().misses
+        for theta in np.linspace(0.1, 1.5, 20):
+            entangle._displaced_purity(spec, BeamSplitterSetting(float(theta)))
+        assert entangle._displaced_factors.cache_info().misses == misses
 
     @pytest.mark.parametrize("q, k, alpha, theta", [
         (0.5, 3, 2.0, 0.3), (1.0, 0, 1.5, math.pi / 4.0), (0.8, 8, 1.0, 1e-3),

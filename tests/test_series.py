@@ -413,13 +413,13 @@ class TestIndexTable:
         """At most twice the columns a fig2-sized call needs, and at most
         _TABLE_CAP after a call past the cap."""
         needs = []
-        index_table = series._index_table
+        index_rows = series._index_rows
 
-        def recorded(size):
-            needs.append(size)
-            return index_table(size)
+        def recorded(lo, hi):
+            needs.append(hi)
+            return index_rows(lo, hi)
 
-        monkeypatch.setattr(series, "_index_table", recorded)
+        monkeypatch.setattr(series, "_index_rows", recorded)
         for policy in (FixedTruncation(n_max=700), AdaptiveTruncation()):
             truncate(penson_solomon_state(2.75, 3, 0.5), policy)
         assert 0 < series._table.shape[1] <= 2 * max(needs)
