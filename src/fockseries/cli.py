@@ -89,9 +89,5 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
-def run() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    run()
+    raise SystemExit(main())

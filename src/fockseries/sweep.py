@@ -1,19 +1,26 @@
 """Parameter sweeps over |alpha| and figure presets with their gnuplot scripts.
 
-Grid points are independent pure evaluations, written in grid order.
+Grid points are independent pure evaluations, written in grid order.  A
+curve CSV holds a `# fockseries v<version>` header line, `# key=value`
+metadata lines, a column-name line, then comma-separated rows.  Floats are
+written with repr() (the shortest decimal that parses back to the identical
+float64), booleans as lowercase true/false, missing values as empty fields;
+every file is ASCII with LF line ends, so identical inputs yield
+byte-identical files.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ._version import __version__
 from .entangle import BeamSplitterSetting, linear_entropy
 from .errors import InvalidParameter
-from .output import write_curve_csv, write_manifest
 from .series import (
     AdaptiveTruncation,
     FixedTruncation,
@@ -30,6 +37,7 @@ OBSERVABLES = ("mandel_q", "linear_entropy")
 DEFAULT_GRID = (0.0, 5.0, 201)
 # the grid is materialized before any point is evaluated
 MAX_STEPS = 100_000
+SCALAR_COLUMNS = ("alpha", "value", "n_max_used", "tail_bound_rel", "converged")
 
 
 def parse_policy(text: str) -> TruncationPolicy:
@@ -119,6 +127,40 @@ def _evaluate(req: SweepRequest) -> list[tuple]:
     with np.errstate(over="ignore"):  # the last step can overflow; linspace ends on alpha_max
         grid = np.linspace(req.alpha_min, req.alpha_max, req.steps)
     return [_evaluate_point(req, float(alpha)) for alpha in grid]
+
+
+def format_cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _write_ascii(path: Path | str, text: str) -> Path:
+    path = Path(path)
+    path.write_text(text, encoding="ascii", newline="\n")
+    return path
+
+
+def write_curve_csv(path: Path | str,
+                    metadata: Mapping[str, Any],
+                    rows: Iterable[Sequence[Any]]) -> Path:
+    """One row per grid point in the SCALAR_COLUMNS shape."""
+    lines = [f"# fockseries v{__version__}"]
+    lines.extend(f"# {key}={format_cell(val)}" for key, val in metadata.items())
+    lines.append(",".join(SCALAR_COLUMNS))
+    for row in rows:
+        if len(row) != len(SCALAR_COLUMNS):
+            raise ValueError(f"row has {len(row)} cells, expected {len(SCALAR_COLUMNS)}")
+        lines.append(",".join(format_cell(cell) for cell in row))
+    return _write_ascii(path, "\n".join(lines) + "\n")
+
+
+def write_manifest(path: Path | str, manifest: Mapping[str, Any]) -> Path:
+    return _write_ascii(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def run_sweep(req: SweepRequest) -> Path:
@@ -220,9 +262,7 @@ def run_preset(name: str,
         "curves": manifest_curves,
     }
     written.append(write_manifest(out_dir / "manifest.json", manifest))
-    script = out_dir / "plot.gp"
-    script.write_text(_plot_script(preset), encoding="ascii", newline="\n")
-    written.append(script)
+    written.append(_write_ascii(out_dir / "plot.gp", _plot_script(preset)))
     return written
 
 

@@ -1,4 +1,4 @@
-"""Test helper: read a curve CSV written by ``fockseries.output.write_curve_csv``."""
+"""Test helper: read a curve CSV written by ``fockseries.sweep.write_curve_csv``."""
 from __future__ import annotations
 
 from pathlib import Path

@@ -29,6 +29,7 @@ from fockseries import (
     truncate,
 )
 from fockseries.cli import main
+from fockseries import sweep
 from fockseries.oracle import oracle_entropy
 from fockseries.sweep import MAX_STEPS, PRESETS, policy_label
 
@@ -269,6 +270,40 @@ class TestPlotScript:
         assert "dashtype 3" in text   # dotted, per the caption
         assert "dashtype 4" in text   # dot-dashed
         assert "set ylabel 'Mandel Q'" in text
+
+
+class TestOutputFiles:
+    def test_every_file_is_ascii_with_lf_line_ends(self, tmp_path):
+        paths = [run_sweep(small_sweep(tmp_path, q=0.7, k=2)),
+                 *run_preset("fig2", tmp_path / "fig2", steps=3)]
+        assert len(paths) == 8
+        assert set(paths[1:]) == set((tmp_path / "fig2").iterdir())
+        for path in paths:
+            data = path.read_bytes()
+            data.decode("ascii")
+            assert b"\r" not in data, path.name
+            assert data.endswith(b"\n"), path.name
+
+    def test_writers_are_called_through_the_module(self, tmp_path, monkeypatch):
+        """Rebinding the sweep module's writers reroutes every CSV and manifest."""
+        calls = []
+
+        def recording(name, writer):
+            def wrapper(path, *args):
+                calls.append((name, Path(path).name))
+                return writer(path, *args)
+            return wrapper
+
+        monkeypatch.setattr(sweep, "write_curve_csv",
+                            recording("csv", sweep.write_curve_csv))
+        monkeypatch.setattr(sweep, "write_manifest",
+                            recording("manifest", sweep.write_manifest))
+        run_preset("fig2", tmp_path, steps=3)
+        assert [name for name, _ in calls] == ["csv"] * 5 + ["manifest"]
+        assert calls[-1] == ("manifest", "manifest.json")
+        calls.clear()
+        run_sweep(small_sweep(tmp_path))
+        assert calls == [("csv", "out.csv")]
 
 
 class TestCliExitCodes:
