@@ -185,14 +185,16 @@ def reduced_purity(amps: JointAmplitudes) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _displaced_factors(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only m = 0..k, sqrt(m+1)/(k-m) for m < k, and the (k+1) x (k+1)
-    Hankel factor sqrt(C(j+l, j)), 0 past j + l = k."""
+def _displaced_factors(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only m = 0..k, sqrt(m+1)/(k-m) for m < k, the (k+1) x (k+1)
+    Hankel factor sqrt(C(j+l, j)), 0 past j + l = k, and the Hankel index
+    min(j+l, k): at most 129^2 intp (130 KB) an entry, 2.1 MB in all 16."""
     m = np.arange(k + 1.0)
     roots = np.zeros((k + 1, k + 1))
     for j in range(k + 1):
         roots[j, :k + 1 - j] = [math.sqrt(math.comb(j + l, j)) for l in range(k + 1 - j)]
-    factors = (m, np.sqrt(m[1:]) / (k - m[:k]), roots)
+    hankel = np.minimum(np.add.outer(np.arange(k + 1), np.arange(k + 1)), k)
+    factors = (m, np.sqrt(m[1:]) / (k - m[:k]), roots, hankel)
     for f in factors:
         f.flags.writeable = False
     return factors
@@ -213,21 +215,24 @@ def _displaced_purity(spec: StateSpec, setting: BeamSplitterSetting) -> float:
     k = spec.k
     t, r = math.cos(setting.theta), math.sin(setting.theta)
     beta = math.sqrt(_ratio_constant(spec)) if spec.alpha_abs > 0.0 else 0.0
-    m, root_ratio, roots = _displaced_factors(k)
+    m, root_ratio, roots, hankel = _displaced_factors(k)
     down = beta * root_ratio  # c'_m / c'_(m+1), rising with m
-    peak = int(np.searchsorted(down, 1.0, side="right"))
-    c = np.zeros(2 * k + 1)  # c'_m, then the zeros a Hankel view reads past m = k
+    peak = int(down.searchsorted(1.0, side="right"))
+    c = np.empty(k + 1)  # c'_m, all finite and in [0, 1]
     c[peak] = 1.0
-    c[:peak] = np.multiply.accumulate(down[:peak][::-1])[::-1]
-    np.multiply.accumulate(1.0 / down[peak:], out=c[peak + 1:k + 1])
-    a = np.ndarray((k + 1, k + 1), np.float64, c, 0, (8, 8)) * roots
+    if peak:  # [peak-1::-1] would wrap to the whole array at peak = 0
+        np.multiply.accumulate(down[peak - 1::-1], out=c[peak - 1::-1])
+    np.divide(1.0, down[peak:], out=down[peak:])
+    np.multiply.accumulate(down[peak:], out=c[peak + 1:])
+    a = c[hankel]  # c'_k past j + l = k, where roots is 0
+    a *= roots
     a *= (t ** m)[:, None]
     a *= r ** m
     # each dropped entry weighs < 1e-300 against a squared norm >= c'_peak^2 = 1,
     # and no product in the Gram below is subnormal (slow in BLAS)
     a[a < 1e-150] = 0.0
-    rho = a @ a.T
-    return float((rho * rho).sum() / rho.trace() ** 2)  # pairwise, unlike einsum
+    rho = a @ a.T  # then pairwise sums, unlike einsum, as ndarray.sum and trace
+    return float(np.add.reduce(rho * rho, axis=None) / np.add.reduce(rho.diagonal()) ** 2)
 
 
 def linear_entropy(series: TruncatedSeries,

@@ -22,9 +22,10 @@ log-ratios ln c + ln(n+k+1) - 2 ln(n+1), outward from a in both directions,
 so no large log is rounded before the ratios are taken.  One log_weight call
 at a makes them absolute.  Adaptive truncation stops once the bound is below
 the requested tolerance, keeping two terms at least.  The index arrays
-(n+k+1, ln(n+k+1), 2 ln(n+1), (n+1)^2) are slices of one lazily grown table of
-j, ln j and j^2 capped at 2^14 columns (3 x 128 KB), so that its memory does
-not grow with k; a series past the cap computes them directly, to the same bits.
+(n+k+1, ln(n+k+1), (n+1)^2, 2 ln(n+1)) are slices of one lazily grown table of
+rows j, ln j, j^2 and 2 ln j capped at 2^14 columns (4 x 128 KB), so that its
+memory does not grow with k; a series past the cap computes them directly, to
+the same bits.
 """
 from __future__ import annotations
 
@@ -45,8 +46,8 @@ DEFAULT_REL_TOL = 1e-14
 # displaced frame beats split + reduced_purity up to k ~ 200, but from k ~ 136
 # on the dense path errs past the 1e-11 the two are held to at this crossover
 _CLOSED_FORM_MAX_K = 128
-_TABLE_CAP = 1 << 14  # most columns of the index table of j, ln j and j^2
-_table = np.empty((3, 0))
+_TABLE_CAP = 1 << 14  # most columns of the index table of j, ln j, j^2 and 2 ln j
+_table = np.empty((4, 0))
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,14 @@ def log_weight(spec: StateSpec, n: int) -> float:
     deformed factorial (never by repeated multiplication)."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise InvalidParameter(f"n must be a nonnegative integer, got {n!r}")
-    n = int(n)
     if spec.alpha_abs == 0.0 and n > 0:
         raise InvalidParameter(
             "alpha_abs = 0: w_n vanishes for every n > 0; only n = 0 has a finite log-weight")
+    return _log_weight(spec, int(n))
+
+
+def _log_weight(spec: StateSpec, n: int) -> float:
+    """log_weight for an int n that it would accept."""
     # the |alpha| term is exactly 0 at n = 0, so any finite ln|alpha| serves
     ln_a = math.log(spec.alpha_abs) if spec.alpha_abs > 0.0 else 0.0
     k = spec.k
@@ -209,43 +214,44 @@ def _point(spec: StateSpec) -> str:
     return f"q={spec.q!r}, k={spec.k}, |alpha|={spec.alpha_abs!r}"
 
 
-def _sum_outward(log_ratios: np.ndarray, anchor: int) -> np.ndarray:
-    """ln(v_n/v_anchor) for n <= log_ratios.size, from the log-ratios
-    ln(v_{n+1}/v_n), summed outward from the anchor in both directions."""
-    out = np.zeros(log_ratios.size + 1)
-    np.add.accumulate(log_ratios[anchor:], out=out[anchor + 1:])
-    out[:anchor] = -np.add.accumulate(log_ratios[:anchor][::-1])[::-1]
-    return out
-
-
-def _index_rows(lo: int, hi: int) -> np.ndarray:
-    """Rows j, ln j, j^2 for j = lo+1..hi: computed afresh past _TABLE_CAP,
-    else a read-only slice of the table grown to the next power of two (of the
-    table this call checked, so another thread's grow cannot narrow it)."""
+def _index_row(row: int, lo: int, hi: int) -> np.ndarray:
+    """Row j, ln j, j^2 or 2 ln j (row 0 to 3) for j = lo+1..hi: computed
+    afresh past _TABLE_CAP, else a read-only slice of the table grown to the
+    next power of two (of the table this call checked, so another thread's
+    grow cannot narrow it)."""
     global _table
-    if hi > _TABLE_CAP:
-        j = np.arange(lo + 1.0, hi + 1)
-        return np.stack((j, np.log(j), j * j))
     t = _table
     if hi > t.shape[1]:
-        j = np.arange(1.0, min(1 << (hi - 1).bit_length(), _TABLE_CAP) + 1)
-        t = np.stack((j, np.log(j), j * j))
+        j = np.arange(lo + 1.0, hi + 1) if hi > _TABLE_CAP else np.arange(
+            1.0, min(1 << (hi - 1).bit_length(), _TABLE_CAP) + 1)
+        ln_j = np.log(j)
+        t = np.stack((j, ln_j, j * j, 2.0 * ln_j))
+        if hi > _TABLE_CAP:
+            return t[row]
         t.flags.writeable = False
         _table = t
-    return t[:, lo:hi]
+    return t[row, lo:hi]
 
 
 def _log_ratio_sums(k: int, ln_c: float, anchor: int, size: int) -> np.ndarray:
     """ln(w_n/w_anchor) for n < size: the log-ratios ln c + ln(n+k+1) - 2 ln(n+1)
     summed outward from the anchor.  A term's value depends only on the terms
     between it and the anchor, not on size."""
-    return _sum_outward(ln_c + _index_rows(k, k + size - 1)[1]
-                        - 2.0 * _index_rows(0, size - 1)[1], anchor)
+    log_ratios = ln_c + _index_row(1, k, k + size - 1)
+    log_ratios -= _index_row(3, 0, size - 1)
+    # summed into a second buffer: numpy copies the operands of an in-place accumulate
+    out = np.empty(size)
+    np.add.accumulate(log_ratios[anchor:], out=out[anchor + 1:])
+    if anchor:  # [anchor-1::-1] would wrap to the whole array at anchor = 0
+        np.add.accumulate(log_ratios[anchor - 1::-1], out=out[anchor - 1::-1])
+        np.negative(out[:anchor], out=out[:anchor])
+    out[anchor] = 0.0
+    return out
 
 
 def _ratios(c: float, k: int, first: int, end: int) -> np.ndarray:
     """_ratio(c, k, n) for n = first..end."""
-    return c * _index_rows(first + k, end + k + 1)[0] / _index_rows(first, end + 1)[2]
+    return c * _index_row(0, first + k, end + k + 1) / _index_row(2, first, end + 1)
 
 
 def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
@@ -273,9 +279,10 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
         e = np.exp(rel)
         bounds = _tail_bound(e[first:], _ratios(c, k, first, end), np.add.accumulate(e)[first:])
         i = int((bounds <= policy.rel_tol).argmax())
-        if bounds[i] <= policy.rel_tol:
-            lws = rel[:first + i + 1] + log_weight(spec, n_peak)
-            return TruncatedSeries(spec=spec, log_weights=lws, tail_bound_rel=float(bounds[i]),
+        bound = float(bounds[i])
+        if bound <= policy.rel_tol:
+            lws = rel[:first + i + 1] + _log_weight(spec, n_peak)
+            return TruncatedSeries(spec=spec, log_weights=lws, tail_bound_rel=bound,
                                    converged=True)
         if end == DEFAULT_HARD_CAP:
             raise HardCapExceeded(
@@ -291,7 +298,7 @@ def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,
     # anchored at the largest retained term: the peak, or n_max before it
     anchor = n_max if r >= 1.0 else _first_subunit_ratio_index(c, spec.k)
     rel = _log_ratio_sums(spec.k, ln_c, anchor, n_max + 1)
-    lws = rel + log_weight(spec, anchor)
+    lws = rel + _log_weight(spec, anchor)
     if r >= 1.0:
         # no geometric bound exists; the neglected tail may dominate
         return TruncatedSeries(spec=spec, log_weights=lws, tail_bound_rel=math.inf,
@@ -325,11 +332,13 @@ def _retained_statistics(series: TruncatedSeries) -> PhotonStatistics:
     the centered variance sum w_n (n+k-mu)^2 / sum w_n, which avoids the
     cancellation of <n^2> - <n>^2 when the mean is large."""
     lws = series.log_weights
-    z = np.exp(lws - lws.max())
+    z = np.exp(lws - np.maximum.reduce(lws))
     ns = np.arange(lws.size, dtype=np.float64) + series.spec.k
-    total = z.sum()
-    mean = float((z * ns).sum() / total)
-    variance = float((z * (ns - mean) ** 2).sum() / total)
+    total = np.add.reduce(z)
+    mean = float(np.add.reduce(z * ns) / total)
+    ns -= mean
+    ns *= ns
+    variance = float(np.add.reduce(z * ns) / total)
     return PhotonStatistics(mean_n=mean, variance=variance,
                             mandel_q=variance / mean - 1.0 if mean else None)
 

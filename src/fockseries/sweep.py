@@ -95,13 +95,12 @@ class SweepRequest:
         BeamSplitterSetting(self.theta)  # validates
 
 
-def _evaluate_point(req: SweepRequest, alpha: float) -> tuple:
-    """The CSV row for one grid point."""
+def _evaluate_point(req: SweepRequest, setting: BeamSplitterSetting, alpha: float) -> tuple:
+    """The CSV row for one grid point; ``setting`` is the request's theta."""
     spec = penson_solomon_state(alpha, req.k, req.q)
     series = truncate(spec, req.policy)
     if req.observable == "linear_entropy":
-        value = linear_entropy(series, setting=BeamSplitterSetting(req.theta),
-                               allow_unconverged=True).linear_entropy
+        value = linear_entropy(series, setting=setting, allow_unconverged=True).linear_entropy
     else:
         value = photon_statistics(series).mandel_q
     # the vacuum's Q row is still written: empty value cell, flagged unconverged
@@ -126,7 +125,8 @@ def _evaluate(req: SweepRequest) -> list[tuple]:
     """The CSV rows of the whole grid."""
     with np.errstate(over="ignore"):  # the last step can overflow; linspace ends on alpha_max
         grid = np.linspace(req.alpha_min, req.alpha_max, req.steps)
-    return [_evaluate_point(req, float(alpha)) for alpha in grid]
+    setting = BeamSplitterSetting(req.theta)
+    return [_evaluate_point(req, setting, float(alpha)) for alpha in grid]
 
 
 def format_cell(value: Any) -> str:

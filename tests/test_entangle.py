@@ -580,6 +580,19 @@ class TestGramPath:
     def test_matches_the_reference_bitwise_at_the_extremes(self, q, k, alpha, theta):
         assert_matches_the_references(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
 
+    @pytest.mark.parametrize("k", [0, 1, _CLOSED_FORM_MAX_K])
+    @pytest.mark.parametrize("x, peak_at_k", [(0.0, True), (1e-300, True), (1e-12, True),
+                                              (2e6, False)])
+    @pytest.mark.parametrize("theta", [math.pi / 4.0, 1e-3])
+    def test_matches_the_reference_bitwise_at_the_end_peaks(self, k, x, peak_at_k, theta):
+        """The largest c'_m at m = k (beta = 0 or tiny: no upward products)
+        or at m = 0 (large beta: no downward products)."""
+        spec = penson_solomon_state(math.sqrt(x), k, 1.0)
+        down = math.sqrt(x) * entangle._displaced_factors(k)[1]
+        assert int(np.count_nonzero(down <= 1.0)) == (k if peak_at_k else 0)
+        setting = BeamSplitterSetting(theta)
+        assert entangle._displaced_purity(spec, setting) == reference_displaced_purity(spec, setting)
+
     def test_new_theta_keeps_the_hankel_factors(self):
         """A scan over theta reuses the Hankel factors, which depend on k
         alone: at k = 128 a rebuild costs milliseconds, a point about 0.2 ms."""

@@ -326,11 +326,22 @@ class TestChunkedTail:
         assert int(proc.stdout) < 1 << 20
 
 
+def sum_outward(log_ratios, anchor):
+    """ln(v_n/v_anchor) for n <= log_ratios.size, from the log-ratios
+    ln(v_{n+1}/v_n), summed outward from the anchor in both directions, with
+    reversed copies and a negated temporary: _log_ratio_sums must equal it
+    bit for bit."""
+    out = np.zeros(log_ratios.size + 1)
+    np.add.accumulate(log_ratios[anchor:], out=out[anchor + 1:])
+    out[:anchor] = -np.add.accumulate(log_ratios[:anchor][::-1])[::-1]
+    return out
+
+
 def direct_log_ratio_sums(k, ln_c, anchor, size):
     """_log_ratio_sums with its index arrays built on every call, as before
     the cached table."""
     m = np.arange(1.0, size)  # n + 1
-    return series._sum_outward(ln_c + np.log(m + k) - 2.0 * np.log(m), anchor)
+    return sum_outward(ln_c + np.log(m + k) - 2.0 * np.log(m), anchor)
 
 
 def direct_ratios(c, k, first, end):
@@ -378,7 +389,7 @@ def index_table_grid(size=300, seed=23):
 @pytest.fixture
 def empty_table(monkeypatch):
     """An unbuilt index table, restored to the shared one afterwards."""
-    monkeypatch.setattr(series, "_table", np.empty((3, 0)))
+    monkeypatch.setattr(series, "_table", series._table[:, :0])
 
 
 class TestIndexTable:
@@ -401,6 +412,24 @@ class TestIndexTable:
         assert series._ratios(c, k, 3, 500).tobytes() == direct_ratios(c, k, 3, 500).tobytes()
         assert_same_bits(penson_solomon_state(0.5, k, 1.0), FixedTruncation(n_max=501))
 
+    @pytest.mark.parametrize("k, anchor, size", [
+        (3, 0, 25), (3, 24, 25), (0, 0, 1), (3, 0, 1), (3, 0, 2), (3, 1, 2),
+        (series._TABLE_CAP - 10, 12, 40), (series._TABLE_CAP - 10, 0, 40)])
+    def test_log_ratio_sums_at_the_edges(self, empty_table, k, anchor, size):
+        """Anchor 0 (no backward sum), anchor size - 1 (no forward sum), one
+        and two terms, and windows past the cap, all in one table state."""
+        got = series._log_ratio_sums(k, -1.5, anchor, size)
+        assert got.tobytes() == direct_log_ratio_sums(k, -1.5, anchor, size).tobytes()
+
+    @pytest.mark.parametrize("alpha, k", [(0.5, 3), (5.0, 3), (1e-6, 0), (0.5, 20_000)])
+    @pytest.mark.parametrize("n_max", [0, 1, 100])
+    def test_same_bits_for_short_fixed_cutoffs(self, empty_table, alpha, k, n_max):
+        """fixed:0 and fixed:1 (one and two terms), and a cutoff before the
+        peak at |alpha| = 5 (anchored at its last term); k = 20000 reads
+        past the cap."""
+        assert_same_bits(penson_solomon_state(alpha, k, 0.5 if k == 3 else 1.0),
+                         FixedTruncation(n_max=n_max))
+
     @pytest.mark.parametrize("order", [1, -1])
     def test_same_bits_in_either_call_order(self, empty_table, order):
         """A series past the cap and two within it, the larger first or last."""
@@ -413,13 +442,13 @@ class TestIndexTable:
         """At most twice the columns a fig2-sized call needs, and at most
         _TABLE_CAP after a call past the cap."""
         needs = []
-        index_rows = series._index_rows
+        index_row = series._index_row
 
-        def recorded(lo, hi):
+        def recorded(row, lo, hi):
             needs.append(hi)
-            return index_rows(lo, hi)
+            return index_row(row, lo, hi)
 
-        monkeypatch.setattr(series, "_index_rows", recorded)
+        monkeypatch.setattr(series, "_index_row", recorded)
         for policy in (FixedTruncation(n_max=700), AdaptiveTruncation()):
             truncate(penson_solomon_state(2.75, 3, 0.5), policy)
         assert 0 < series._table.shape[1] <= 2 * max(needs)
@@ -603,7 +632,24 @@ class TestPhotonDistribution:
             assert 1.0 - 2.0 * series.tail_bound_rel <= total <= 1.0 + 2.0 * series.tail_bound_rel
 
 
+def reference_retained_moments(series):
+    """_retained_statistics' mean and variance through the ndarray methods,
+    in fresh arrays: it must equal them bit for bit."""
+    lws = series.log_weights
+    z = np.exp(lws - lws.max())
+    ns = np.arange(lws.size, dtype=np.float64) + series.spec.k
+    total = z.sum()
+    mean = float((z * ns).sum() / total)
+    return mean, float((z * (ns - mean) ** 2).sum() / total)
+
+
 class TestPhotonStatistics:
+    def test_retained_moments_match_the_reference_bitwise(self):
+        for spec, policy in index_table_grid(size=100, seed=29):
+            series = truncate(spec, policy)
+            got = _retained_statistics(series)
+            assert (got.mean_n, got.variance) == reference_retained_moments(series), _point(spec)
+
     def test_fock_point_is_maximally_sub_poissonian(self):
         """Q = -1 exactly for the single-point distribution at |alpha| = 0."""
         for k in (1, 2, 5):
