@@ -34,9 +34,9 @@ from .errors import HardCapExceeded, InvalidParameter, UnnormalizedInput
 from .series import (
     _CLOSED_FORM_MAX_K,
     TruncatedSeries,
+    _logsumexp,
     _point,
     _ratio_constant,
-    normalization_log,
 )
 from .states import StateSpec
 
@@ -114,8 +114,8 @@ def split(series: TruncatedSeries,
         raise HardCapExceeded(
             f"{_point(series.spec)}: output dimension D={dim} exceeds the split cap {MAX_DIM}")
     matrix = np.zeros((dim, dim))  # the only D x D array
-    ln_n = normalization_log(series)
-    ln_c = ln_n + 0.5 * series.log_weights  # ln c_m, m = n + k
+    ln_sum = _logsumexp(series.rel_log_weights)  # ln sum_n w_n/w_anchor
+    ln_c = 0.5 * (series.rel_log_weights - ln_sum)  # ln c_m, m = n + k
     ln_t = math.log(math.cos(setting.theta))
     ln_r = math.log(math.sin(setting.theta))
 
@@ -138,7 +138,7 @@ def split(series: TruncatedSeries,
         blk += (np.arange(lo, hi) * ln_t)[:, None]
         blk += np.arange(w) * ln_r
         np.exp(blk, out=matrix[lo:hi, :w])
-    log_scale = max(abs(ln_n), float(lg[dim - 1]), (dim - 1) * abs(ln_t), (dim - 1) * abs(ln_r))
+    log_scale = max(abs(ln_sum), float(lg[dim - 1]), (dim - 1) * abs(ln_t), (dim - 1) * abs(ln_r))
     floor = _ROUNDING_ULPS * np.finfo(np.float64).eps * max(1.0, log_scale)
     return JointAmplitudes(matrix=matrix, norm_tol=10.0 * series.tail_bound_rel + floor,
                            spec=series.spec)

@@ -19,13 +19,13 @@ which is strictly decreasing in n, so once it drops below 1 the neglected
 tail is bounded by the geometric sum next-term/(1 - ratio).  A series is
 evaluated as ln(w_n/w_a) for an anchor a at its largest term: the sum of the
 log-ratios ln c + ln(n+k+1) - 2 ln(n+1), outward from a in both directions,
-so no large log is rounded before the ratios are taken.  One log_weight call
-at a makes them absolute.  Adaptive truncation stops once the bound is below
-the requested tolerance, keeping two terms at least.  The index arrays
-(n+k+1, ln(n+k+1), (n+1)^2, 2 ln(n+1)) are slices of one lazily grown table of
-rows j, ln j, j^2 and 2 ln j capped at 2^14 columns (4 x 128 KB), so that its
-memory does not grow with k; a series past the cap computes them directly, to
-the same bits.
+so no large log is rounded before the ratios are taken; a series keeps these
+sums and a, and its log_weights add ln w_a when read.  Adaptive truncation
+stops once the bound is below the requested tolerance, keeping two terms at
+least.  The index arrays (n+k+1, ln(n+k+1), (n+1)^2, 2 ln(n+1)) are slices of
+one lazily grown table of rows j, ln j, j^2 and 2 ln j capped at 2^14 columns
+(4 x 128 KB), so that its memory does not grow with k; a series past the cap
+computes them directly, to the same bits.
 """
 from __future__ import annotations
 
@@ -82,7 +82,9 @@ TruncationPolicy = AdaptiveTruncation | FixedTruncation
 
 @dataclass(frozen=True, eq=False)
 class TruncatedSeries:
-    """Log-weights ln w_n for n = 0..n_max plus a certified relative tail bound.
+    """ln(w_n/w_anchor) for n = 0..n_max, 0.0 at the largest retained term
+    ``anchor`` (``log_weights`` adds ln w_anchor), and a certified relative
+    tail bound.
 
     ``tail_bound_rel`` is an upper bound on the neglected tail mass relative
     to the retained sum; it is +inf when no geometric bound exists (fixed
@@ -91,13 +93,18 @@ class TruncatedSeries:
     """
 
     spec: StateSpec
-    log_weights: np.ndarray
+    rel_log_weights: np.ndarray
+    anchor: int
     tail_bound_rel: float
     converged: bool
 
     @property
     def n_max(self) -> int:
-        return self.log_weights.size - 1
+        return self.rel_log_weights.size - 1
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        return self.rel_log_weights + _log_weight(self.spec, self.anchor)
 
 
 @dataclass(frozen=True)
@@ -198,8 +205,7 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
         raise InvalidParameter("spec must be a StateSpec")
     if spec.alpha_abs == 0.0:
         # every n >= 1 weight is exactly zero; single-term series, no tail
-        return TruncatedSeries(spec=spec, log_weights=np.array([log_weight(spec, 0)]),
-                               tail_bound_rel=0.0, converged=True)
+        return TruncatedSeries(spec, np.zeros(1), 0, tail_bound_rel=0.0, converged=True)
     # ln c from logs, where c itself can over- or underflow
     ln_c = 2.0 * math.log(spec.alpha_abs) + 2 * spec.k * math.log(1.0 / spec.q)
     c = _ratio_constant(spec)
@@ -281,8 +287,7 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
         i = int((bounds <= policy.rel_tol).argmax())
         bound = float(bounds[i])
         if bound <= policy.rel_tol:
-            lws = rel[:first + i + 1] + _log_weight(spec, n_peak)
-            return TruncatedSeries(spec=spec, log_weights=lws, tail_bound_rel=bound,
+            return TruncatedSeries(spec, rel[:first + i + 1], n_peak, tail_bound_rel=bound,
                                    converged=True)
         if end == DEFAULT_HARD_CAP:
             raise HardCapExceeded(
@@ -298,14 +303,11 @@ def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,
     # anchored at the largest retained term: the peak, or n_max before it
     anchor = n_max if r >= 1.0 else _first_subunit_ratio_index(c, spec.k)
     rel = _log_ratio_sums(spec.k, ln_c, anchor, n_max + 1)
-    lws = rel + _log_weight(spec, anchor)
-    if r >= 1.0:
-        # no geometric bound exists; the neglected tail may dominate
-        return TruncatedSeries(spec=spec, log_weights=lws, tail_bound_rel=math.inf,
-                               converged=False)
-    e = np.exp(rel)
-    bound = float(_tail_bound(e[-1], r, e.sum()))
-    return TruncatedSeries(spec=spec, log_weights=lws, tail_bound_rel=bound,
+    bound = math.inf  # no geometric bound while r >= 1; the neglected tail may dominate
+    if r < 1.0:
+        e = np.exp(rel)
+        bound = float(_tail_bound(e[-1], r, e.sum()))
+    return TruncatedSeries(spec, rel, anchor, tail_bound_rel=bound,
                            converged=bound <= policy.rel_tol)
 
 
@@ -321,8 +323,7 @@ def photon_distribution(series: TruncatedSeries) -> list[tuple[int, float]]:
     retained terms and therefore sum to 1 up to rounding (the true
     distribution differs by at most tail_bound_rel).
     """
-    lws = series.log_weights
-    z = np.exp(lws - lws.max())
+    z = np.exp(series.rel_log_weights)
     p = z / z.sum()
     return [(n + series.spec.k, float(pn)) for n, pn in enumerate(p)]
 
@@ -331,9 +332,8 @@ def _retained_statistics(series: TruncatedSeries) -> PhotonStatistics:
     """Moments of the retained distribution, in two passes: the mean, then
     the centered variance sum w_n (n+k-mu)^2 / sum w_n, which avoids the
     cancellation of <n^2> - <n>^2 when the mean is large."""
-    lws = series.log_weights
-    z = np.exp(lws - np.maximum.reduce(lws))
-    ns = np.arange(lws.size, dtype=np.float64) + series.spec.k
+    z = np.exp(series.rel_log_weights)
+    ns = np.arange(z.size, dtype=np.float64) + series.spec.k
     total = np.add.reduce(z)
     mean = float(np.add.reduce(z * ns) / total)
     ns -= mean

@@ -32,9 +32,9 @@ from fockseries.oracle import oracle_entropy
 from fockseries.series import (
     _CLOSED_FORM_MAX_K,
     _first_subunit_ratio_index,
+    _logsumexp,
     _peak_width,
     _ratio_constant,
-    normalization_log,
 )
 
 # 256-bit oracle pins
@@ -50,7 +50,7 @@ def split_by_antidiagonal(series, setting):
     """Reference joint matrix, filled one total photon number m at a time."""
     k = series.spec.k
     dim = series.n_max + k + 1
-    ln_c = normalization_log(series) + 0.5 * series.log_weights
+    ln_c = 0.5 * (series.rel_log_weights - _logsumexp(series.rel_log_weights))
     ln_t = math.log(math.cos(setting.theta))
     ln_r = math.log(math.sin(setting.theta))
     matrix = np.zeros((dim, dim))

@@ -227,8 +227,9 @@ def reference_truncate_adaptive(spec, policy):
         if r < 1.0 and n >= 1:
             bound = math.exp(lw - m) * r / (1.0 - r) / scaled_sum
             if bound <= policy.rel_tol:
-                return TruncatedSeries(spec=spec, log_weights=np.concatenate((bulk, tail)),
-                                       tail_bound_rel=bound, converged=True)
+                lws = np.concatenate((bulk, tail))
+                return TruncatedSeries(spec=spec, rel_log_weights=lws - lws[n_peak],
+                                       anchor=n_peak, tail_bound_rel=bound, converged=True)
         n += 1
     raise HardCapExceeded(
         f"{_point(spec)}: adaptive truncation passed hard_cap={DEFAULT_HARD_CAP} "
@@ -547,6 +548,43 @@ class TestTruncate:
             assert gained < series.tail_bound_rel
 
 
+def absolute_log_weights(spec, anchor, size):
+    """ln w_n as truncate built them when a series held them absolute: the
+    log-ratio sums from the anchor plus its log_weight, or the lone ln w_0 at
+    |alpha| = 0."""
+    if spec.alpha_abs == 0.0:
+        return np.array([log_weight(spec, 0)])
+    ln_c = 2.0 * math.log(spec.alpha_abs) + 2 * spec.k * math.log(1.0 / spec.q)
+    return series._log_ratio_sums(spec.k, ln_c, anchor, size) + log_weight(spec, anchor)
+
+
+class TestPeakRelativeSums:
+    """A series keeps ln(w_n/w_anchor), exactly 0.0 at its largest term, and
+    log_weights adds ln w_anchor back to the bits of the absolute form."""
+
+    @pytest.mark.parametrize("alpha, k, q, policy, anchor", [
+        (2.75, 3, 0.5, AdaptiveTruncation(), None),
+        (5.0, 3, 0.5, FixedTruncation(n_max=100), 100),  # the peak is past n_max
+        (2.0, 3, 0.5, FixedTruncation(n_max=400), None),  # fig2's cutoff past the peak
+        (2.0, 0, 1.0, FixedTruncation(n_max=80), None),  # a tie w_3 = w_4 at the peak
+        (0.0, 3, 0.5, AdaptiveTruncation(), 0),
+        (128.0, 0, 1.0, AdaptiveTruncation(), None),  # a window past _TABLE_CAP
+    ])
+    def test_anchored_at_the_largest_term(self, alpha, k, q, policy, anchor):
+        spec = penson_solomon_state(alpha, k, q)
+        got = truncate(spec, policy)
+        if anchor is None:
+            anchor = _first_subunit_ratio_index(_ratio_constant(spec), k)
+        assert got.anchor == anchor
+        rel = got.rel_log_weights
+        assert float(rel[anchor]).hex() == (0.0).hex()
+        assert rel.max() == 0.0
+        want = absolute_log_weights(spec, anchor, got.n_max + 1)
+        assert got.log_weights.tobytes() == want.tobytes()
+        if alpha == 128.0:
+            assert got.n_max + k > series._TABLE_CAP
+
+
 class TestToleranceProperties:
     """Over (q, k, |alpha|, rel_tol): a tighter tolerance only appends terms,
     every certificate meets its tolerance, and Q never passes the Fock floor."""
@@ -635,9 +673,8 @@ class TestPhotonDistribution:
 def reference_retained_moments(series):
     """_retained_statistics' mean and variance through the ndarray methods,
     in fresh arrays: it must equal them bit for bit."""
-    lws = series.log_weights
-    z = np.exp(lws - lws.max())
-    ns = np.arange(lws.size, dtype=np.float64) + series.spec.k
+    z = np.exp(series.rel_log_weights)
+    ns = np.arange(z.size, dtype=np.float64) + series.spec.k
     total = z.sum()
     mean = float((z * ns).sum() / total)
     return mean, float((z * (ns - mean) ** 2).sum() / total)
@@ -698,6 +735,18 @@ class TestPhotonStatistics:
         spec = penson_solomon_state(alpha, k, q)
         got = photon_statistics(truncate(spec, AdaptiveTruncation())).mandel_q
         assert abs(got - float(oracle_statistics(spec).mandel_q)) <= 2e-12
+
+    def test_retained_variance_where_ln_w_is_large(self):
+        """At (q, k, x) = (0.346, 128, 4.5e-11) ln w_0 is about 1.8e4, so its
+        ulp is 3.6e-12.  The moments read the peak-relative sums, which never
+        held that log: absolute log-weights missed the variance by 6.6e-13."""
+        q, k, x = 0.346, 128, 4.5e-11
+        spec = penson_solomon_state(math.sqrt(x) * q ** k, k, q)
+        series = truncate(spec, AdaptiveTruncation(1e-30))
+        assert series.n_max == 3
+        assert log_weight(spec, 0) > 1.7e4
+        got = _retained_statistics(series).variance
+        assert abs(got / float(oracle_statistics(spec).variance) - 1.0) <= 3e-14
 
     def test_bounds_on_random_grid(self):
         rng = np.random.default_rng(7)
@@ -788,8 +837,8 @@ class TestClosedFormStatistics:
         from NaN log-weights; past the cap the NaNs reach the moments."""
         for k in (0, 5, _CLOSED_FORM_MAX_K, _CLOSED_FORM_MAX_K + 1):
             series = adaptive_series(1.0, k, 0.3 if k == 5 else 1.0)
-            blind = dataclasses.replace(series, log_weights=np.full_like(series.log_weights,
-                                                                         np.nan))
+            blind = dataclasses.replace(
+                series, rel_log_weights=np.full_like(series.rel_log_weights, np.nan))
             if k <= _CLOSED_FORM_MAX_K:
                 assert photon_statistics(blind) == photon_statistics(series)
             else:
