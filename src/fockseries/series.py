@@ -206,9 +206,11 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
     if spec.alpha_abs == 0.0:
         # every n >= 1 weight is exactly zero; single-term series, no tail
         return TruncatedSeries(spec, np.zeros(1), 0, tail_bound_rel=0.0, converged=True)
-    # ln c from logs, where c itself can over- or underflow
-    ln_c = 2.0 * math.log(spec.alpha_abs) + 2 * spec.k * math.log(1.0 / spec.q)
     c = _ratio_constant(spec)
+    # ln c from logs only where c over- or underflows (or is subnormal): the
+    # sum of two large logs of opposite sign cancels, math.log(c) does not
+    ln_c = (math.log(c) if sys.float_info.min <= c < math.inf
+            else 2.0 * math.log(spec.alpha_abs) + 2 * spec.k * math.log(1.0 / spec.q))
     if isinstance(policy, AdaptiveTruncation):
         return _truncate_adaptive(spec, policy, ln_c, c)
     if isinstance(policy, FixedTruncation):

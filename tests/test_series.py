@@ -554,7 +554,7 @@ def absolute_log_weights(spec, anchor, size):
     |alpha| = 0."""
     if spec.alpha_abs == 0.0:
         return np.array([log_weight(spec, 0)])
-    ln_c = 2.0 * math.log(spec.alpha_abs) + 2 * spec.k * math.log(1.0 / spec.q)
+    ln_c = math.log(_ratio_constant(spec))  # c is a normal double at every point here
     return series._log_ratio_sums(spec.k, ln_c, anchor, size) + log_weight(spec, anchor)
 
 
@@ -747,6 +747,15 @@ class TestPhotonStatistics:
         assert log_weight(spec, 0) > 1.7e4
         got = _retained_statistics(series).variance
         assert abs(got / float(oracle_statistics(spec).variance) - 1.0) <= 3e-14
+
+    def test_retained_variance_where_ln_c_cancels(self):
+        """At the same point 2 ln|alpha| and 2k ln(1/q) are about -295.5 and
+        +271.7: their sum misses ln c by 1.5e-14 and every log-ratio carries
+        that, so the variance missed by 1.45e-14.  truncate takes math.log(c)."""
+        q, k, x = 0.346, 128, 4.5e-11
+        spec = penson_solomon_state(math.sqrt(x) * q ** k, k, q)
+        got = _retained_statistics(truncate(spec, AdaptiveTruncation(1e-30))).variance
+        assert abs(got / float(oracle_statistics(spec).variance) - 1.0) <= 1e-15
 
     def test_bounds_on_random_grid(self):
         rng = np.random.default_rng(7)
