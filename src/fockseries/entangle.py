@@ -245,7 +245,7 @@ def linear_entropy(series: TruncatedSeries,
     (k+1) x (k+1) joint amplitudes of the photon-added coherent state it
     truncates, in its displaced frame (module docstring), with no D x D
     matrix.  Its S is that of the untruncated state, good to about 1e-15
-    absolute, at 20 to 40 us a point for k = 3 on a shared 2-vCPU x86 host
+    absolute, at 15 to 30 us a point for k = 3 on a shared 2-vCPU x86 host
     (its load sets which); ``series`` supplies only the state and the gate.
     An unconverged series is not rank k+1 (its cut at m < D does not
     factor), and past k = 128 (_CLOSED_FORM_MAX_K) the series stays on the

@@ -22,8 +22,10 @@ log-ratios ln c + ln(n+k+1) - 2 ln(n+1), outward from a in both directions,
 so no large log is rounded before the ratios are taken; a series keeps these
 sums and a, and its log_weights add ln w_a when read.  Adaptive truncation
 stops once the bound is below the requested tolerance, keeping two terms at
-least.  The index arrays (n+k+1, ln(n+k+1), (n+1)^2, 2 ln(n+1)) are slices of
-one lazily grown table of rows j, ln j, j^2 and 2 ln j capped at 2^14 columns
+least; for k <= 128 from scalars, the whole sum being e^c k! L_k(-c) (the
+state is a†^k|beta>), and such a series builds its sums when read.  The
+index arrays (n+k+1, ln(n+k+1), (n+1)^2, 2 ln(n+1)) are slices of one lazily
+grown table of rows j, ln j, j^2 and 2 ln j capped at 2^14 columns
 (4 x 128 KB), so that its memory does not grow with k; a series past the cap
 computes them directly, to the same bits.
 """
@@ -33,6 +35,7 @@ import math
 import sys
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -40,8 +43,8 @@ from .errors import HardCapExceeded, InvalidParameter
 from .states import DEFAULT_HARD_CAP, StateSpec
 
 DEFAULT_REL_TOL = 1e-14
-# largest k whose converged series take the photon-added coherent state's
-# O(k) closed forms (2-vCPU x86 host, one BLAS thread): Q's scalar loop takes
+# largest k whose adaptive certificate, Q and S take the photon-added coherent
+# state's O(k) closed forms (2-vCPU x86 host, one BLAS thread): Q's loop takes
 # 17 us at k = 128, as long as the retained moments, and grows with k; S's
 # displaced frame beats split + reduced_purity up to k ~ 200, but from k ~ 136
 # on the dense path errs past the 1e-11 the two are held to at this crossover
@@ -90,6 +93,7 @@ class TruncatedSeries:
     to the retained sum; it is +inf when no geometric bound exists (fixed
     cutoff with term ratio still >= 1).  ``converged`` is False whenever the
     bound fails the policy tolerance, and the sweep copies it into every row.
+    An adaptive series with k <= 128 builds rel_log_weights on first read.
     """
 
     spec: StateSpec
@@ -98,9 +102,16 @@ class TruncatedSeries:
     tail_bound_rel: float
     converged: bool
 
+    def __getattr__(self, name: str):  # for attributes not set: the unbuilt weights
+        if name != "rel_log_weights" or "_deferred" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rel = self.__dict__[name] = _log_ratio_sums(*self._deferred)
+        return rel
+
     @property
     def n_max(self) -> int:
-        return self.rel_log_weights.size - 1
+        rel = self.__dict__.get("rel_log_weights")
+        return self._deferred[3] - 1 if rel is None else rel.size - 1
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -191,10 +202,10 @@ def _peak_width(z2: float, n_peak: int, k: int) -> int:
 def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
     """Evaluate log-weights under the given truncation policy.
 
-    Adaptive: accumulate until the term ratio r = w_{n+1}/w_n is below 1 and
-    the geometric tail bound w_{n+1}/(1-r) is at most rel_tol times the
-    retained sum (valid since the ratio decreases monotonically).  Raises
-    HardCapExceeded if the cap is passed first.
+    Adaptive: stop once the term ratio r = w_{n+1}/w_n is below 1 and the
+    geometric tail bound w_{n+1}/(1-r) is at most rel_tol times the retained
+    sum (valid since the ratio decreases monotonically); k <= 128 builds the
+    weights only when read.  Raises HardCapExceeded if the cap is passed first.
 
     Fixed: store exactly n_max + 1 weights; the series counts as converged
     only if the same certified bound happens to hold at n_max against
@@ -207,8 +218,7 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
         # every n >= 1 weight is exactly zero; single-term series, no tail
         return TruncatedSeries(spec, np.zeros(1), 0, tail_bound_rel=0.0, converged=True)
     c = _ratio_constant(spec)
-    # ln c from logs only where c over- or underflows (or is subnormal): the
-    # sum of two large logs of opposite sign cancels, math.log(c) does not
+    # the log form, whose two terms can cancel, only where c is not a normal double
     ln_c = (math.log(c) if sys.float_info.min <= c < math.inf
             else 2.0 * math.log(spec.alpha_abs) + 2 * spec.k * math.log(1.0 / spec.q))
     if isinstance(policy, AdaptiveTruncation):
@@ -279,23 +289,81 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
     # _peak_width at z^2 = 2 ln(1/rel_tol) past the peak and doubles until it
     # holds the stop.
     first = max(n_peak, 1)
-    z2 = -2.0 * math.log(policy.rel_tol)  # 1/rel_tol overflows for a subnormal rel_tol
-    width = _peak_width(z2, n_peak, k)
-    while True:
-        end = min(n_peak + width, DEFAULT_HARD_CAP)
-        rel = _log_ratio_sums(k, ln_c, n_peak, end + 1)
-        e = np.exp(rel)
-        bounds = _tail_bound(e[first:], _ratios(c, k, first, end), np.add.accumulate(e)[first:])
-        i = int((bounds <= policy.rel_tol).argmax())
-        bound = float(bounds[i])
-        if bound <= policy.rel_tol:
-            return TruncatedSeries(spec, rel[:first + i + 1], n_peak, tail_bound_rel=bound,
-                                   converged=True)
-        if end == DEFAULT_HARD_CAP:
-            raise HardCapExceeded(
-                f"{_point(spec)}: adaptive truncation passed hard_cap={DEFAULT_HARD_CAP} "
-                f"without certifying rel_tol={policy.rel_tol}")
-        width *= 2
+    width = _peak_width(-2.0 * math.log(policy.rel_tol), n_peak, k)  # 1/rel_tol can overflow
+    if k <= _CLOSED_FORM_MAX_K:
+        n_max, bound = _closed_form_stop(k, ln_c, c, n_peak, first, width, policy.rel_tol)
+        if n_max <= DEFAULT_HARD_CAP:  # a series whose weights are built when read
+            series = object.__new__(TruncatedSeries)
+            series.__dict__.update(spec=spec, anchor=n_peak, tail_bound_rel=bound, converged=True,
+                                   _deferred=(k, ln_c, n_peak, n_max + 1))
+            return series
+    else:
+        while True:
+            end = min(n_peak + width, DEFAULT_HARD_CAP)
+            rel = _log_ratio_sums(k, ln_c, n_peak, end + 1)
+            e = np.exp(rel)
+            bounds = _tail_bound(e[first:], _ratios(c, k, first, end),
+                                 np.add.accumulate(e)[first:])
+            i = int((bounds <= policy.rel_tol).argmax())
+            bound = float(bounds[i])
+            if bound <= policy.rel_tol:
+                return TruncatedSeries(spec, rel[:first + i + 1], n_peak, tail_bound_rel=bound,
+                                       converged=True)
+            if end == DEFAULT_HARD_CAP:
+                break
+            width *= 2
+    raise HardCapExceeded(
+        f"{_point(spec)}: adaptive truncation passed hard_cap={DEFAULT_HARD_CAP} "
+        f"without certifying rel_tol={policy.rel_tol}")
+
+
+def _closed_form_stop(k: int, ln_c: float, c: float, n_peak: int, lo: int, width: int,
+                      rel_tol: float) -> tuple[int, float]:
+    """(n, bound) at the first n >= lo whose bound passes rel_tol (past the cap
+    if none does), from t_n/t_peak by math.lgamma and the whole sum Z = e^c N_k:
+    as the retained sum Z - tail_n is at most Z, the bound against Z passes
+    first; the doubling window and Newton steps find that n, and from there
+    each n sums its tail from its terms until what is left is below eps Z."""
+    def probe(n: int) -> tuple[float, float, float]:  # t_n, r_n and the bound against Z
+        t = math.exp(n * ln_c + math.lgamma(n + k + 1) - 2.0 * math.lgamma(n + 1) - ln_peak)
+        return t, (r := _ratio(c, k, n)), _tail_bound(t, r, total)
+
+    ln_peak = n_peak * ln_c + math.lgamma(n_peak + k + 1) - 2.0 * math.lgamma(n_peak + 1)
+    g = ln_n = 0.0  # ln N_k: N_p/N_(p-1) = c + p + g_p, as in _closed_statistics
+    for p in range(1, k + 1):
+        ln_n += math.log(c + p + g)
+        g = p * (c + g) / (c + p + g)
+    total = math.exp(c + ln_n - ln_peak)
+    eps_z = sys.float_info.epsilon * total
+    t, r, b = probe(hi := min(n_peak + width, DEFAULT_HARD_CAP))
+    while b > rel_tol:
+        if hi == DEFAULT_HARD_CAP:
+            return hi + 1, math.inf
+        lo, width = hi + 1, 2 * width
+        t, r, b = probe(hi := min(n_peak + width, DEFAULT_HARD_CAP))
+    while lo < hi:
+        half = mid = (lo + hi) // 2  # or, if above, the last n to fail by Newton's step on
+        if b > 0.0:  # ln(bound), which falls by ln(r_n (1 - r_(n-1))/(1 - r_n)) from n - 1 to n
+            fall = math.log(r * (1.0 - _ratio(c, k, hi - 1)) / (1.0 - r))
+            mid = max(half, hi - 1 - int(math.log(b / rel_tol) / fall))
+        t_mid, r_mid, b_mid = probe(mid)
+        if b_mid <= rel_tol:
+            hi, t, r, b = mid, t_mid, r_mid, b_mid
+        else:
+            lo = mid + 1
+            if mid > half:  # Newton's step failed, so the stop is near: walk on from lo
+                break
+    for n in count(lo):
+        t_n, r_n, b_n = (t, r, b) if n == hi else probe(n)
+        if b_n <= rel_tol:
+            tail, t_m, r_m, m = 0.0, t_n, r_n, n
+            while t_m * r_m > eps_z * (1.0 - r_m):  # what the tail leaves is not negligible
+                t_m, m = t_m * r_m, m + 1
+                r_m = c * (m + (k + 1.0)) / (m + 1.0) ** 2  # _ratio
+                tail += t_m
+            bound = _tail_bound(t_n, r_n, total - tail)
+            if bound <= rel_tol:
+                return n, bound
 
 
 def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,

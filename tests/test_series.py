@@ -15,8 +15,10 @@ from scipy.special import gammaln, logsumexp
 
 import fockseries
 import fockseries.series as series
+import fockseries.sweep as sweep
 from fockseries import (
     DEFAULT_HARD_CAP,
+    DEFAULT_REL_TOL,
     AdaptiveTruncation,
     FixedTruncation,
     HardCapExceeded,
@@ -29,6 +31,7 @@ from fockseries import (
     photon_statistics,
     truncate,
 )
+from fockseries.entangle import BeamSplitterSetting, linear_entropy
 from fockseries.oracle import oracle_statistics
 from fockseries.series import (
     _CLOSED_FORM_MAX_K,
@@ -312,19 +315,24 @@ class TestChunkedTail:
         assert_same_truncation(spec, AdaptiveTruncation())
 
     def test_largest_k_allocates_no_table(self):
-        """At k = 2e6 the series has a dozen terms; no ln m! table is built.
-        A fresh process, so that no earlier allocation is counted."""
-        code = ("import tracemalloc\n"
-                "from fockseries import AdaptiveTruncation, penson_solomon_state, truncate\n"
-                "spec = penson_solomon_state(1e-3, 2_000_000, 1.0)\n"
-                "tracemalloc.start()\n"
-                "truncate(spec, AdaptiveTruncation())\n"
-                "print(tracemalloc.get_traced_memory()[1])\n")
-        src = Path(fockseries.__file__).resolve().parent.parent
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) < 1 << 20
+        """At k = 2e6 the series has a dozen terms; no ln m! table is built."""
+        assert adaptive_truncate_peak_bytes(1e-3, 2_000_000, 1.0) < 1 << 20
+
+
+def adaptive_truncate_peak_bytes(alpha, k, q):
+    """tracemalloc's peak over one adaptive truncate call, in a fresh
+    process, so that no earlier allocation is counted."""
+    code = ("import tracemalloc\n"
+            "from fockseries import AdaptiveTruncation, penson_solomon_state, truncate\n"
+            f"spec = penson_solomon_state({alpha!r}, {k!r}, {q!r})\n"
+            "tracemalloc.start()\n"
+            "truncate(spec, AdaptiveTruncation())\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+    src = Path(fockseries.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 def sum_outward(log_ratios, anchor):
@@ -433,11 +441,13 @@ class TestIndexTable:
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_same_bits_in_either_call_order(self, empty_table, order):
-        """A series past the cap and two within it, the larger first or last."""
+        """A series past the cap and two within it, the larger first or last,
+        each cut where the adaptive policy stops (which builds no array)."""
         specs = [penson_solomon_state(128.0, 0, 1.0), penson_solomon_state(2.75, 3, 0.5),
                  penson_solomon_state(0.5, 1, 0.5)]
         for spec in specs[::order]:
-            assert_same_bits(spec, AdaptiveTruncation())
+            n_max = truncate(spec, AdaptiveTruncation()).n_max
+            assert_same_bits(spec, FixedTruncation(n_max=n_max))
 
     def test_retained_size(self, empty_table, monkeypatch):
         """At most twice the columns a fig2-sized call needs, and at most
@@ -453,7 +463,7 @@ class TestIndexTable:
         for policy in (FixedTruncation(n_max=700), AdaptiveTruncation()):
             truncate(penson_solomon_state(2.75, 3, 0.5), policy)
         assert 0 < series._table.shape[1] <= 2 * max(needs)
-        truncate(penson_solomon_state(300.0, 0, 1.0), AdaptiveTruncation())
+        truncate(penson_solomon_state(300.0, 0, 1.0), FixedTruncation(n_max=100_000))
         assert max(needs) > series._TABLE_CAP
         assert series._table.shape[1] <= series._TABLE_CAP
 
@@ -861,3 +871,65 @@ class TestClosedFormStatistics:
         assert stats.mean_n >= k
         assert stats.variance >= 0.0
         assert -1.0 <= stats.mandel_q <= 0.0
+
+
+def raise_if_called(*args):
+    raise AssertionError("an array kernel ran")
+
+
+class TestClosedFormCertificate:
+    """An adaptive series with k <= _CLOSED_FORM_MAX_K takes its stop and
+    bound from the closed-form norm and builds its weights only when read."""
+
+    POINTS = [(2.75, 3, 0.5), (5.0, 3, 0.5), (1e-4, 0, 1.0), (0.3, _CLOSED_FORM_MAX_K, 1.0),
+              (128.0, 0, 1.0)]
+
+    @pytest.mark.parametrize("alpha, k, q", POINTS)
+    def test_values_need_no_weights(self, monkeypatch, alpha, k, q):
+        """Q, S and both sweep rows, as they read with the kernels in place."""
+        spec = penson_solomon_state(alpha, k, q)
+        requests = [sweep.SweepRequest(observable=observable, q=q, k=k, output_path="unused")
+                    for observable in sweep.OBSERVABLES]
+
+        def values():
+            got = truncate(spec, AdaptiveTruncation())
+            assert got.converged
+            return (photon_statistics(got), linear_entropy(got),
+                    [sweep._evaluate_point(req, BeamSplitterSetting(), alpha) for req in requests])
+
+        want = values()
+        monkeypatch.setattr(series, "_log_ratio_sums", raise_if_called)
+        monkeypatch.setattr(series, "_ratios", raise_if_called)
+        assert values() == want
+
+    @pytest.mark.parametrize("alpha, k, q", POINTS)
+    def test_certificate_reads_build_nothing(self, monkeypatch, alpha, k, q):
+        calls = []
+        monkeypatch.setattr(series, "_log_ratio_sums", lambda *args: calls.append(args))
+        got = truncate(penson_solomon_state(alpha, k, q), AdaptiveTruncation())
+        assert got.n_max >= 1 and got.converged and got.tail_bound_rel <= DEFAULT_REL_TOL
+        assert calls == [] and "rel_log_weights" not in vars(got)
+
+    @pytest.mark.parametrize("alpha, k, q", POINTS)
+    def test_weights_built_on_first_read(self, alpha, k, q):
+        """The sums the array path kept, log_weights on them, and
+        dataclasses.replace before and after the first read."""
+        spec = penson_solomon_state(alpha, k, q)
+        c = _ratio_constant(spec)
+        n_peak = _first_subunit_ratio_index(c, k)
+        got = truncate(spec, AdaptiveTruncation())
+        assert "rel_log_weights" not in vars(got)
+        want = series._log_ratio_sums(k, math.log(c), n_peak, got.n_max + 1)
+        rel = got.rel_log_weights
+        assert rel.tobytes() == want.tobytes() and got.anchor == n_peak
+        assert got.rel_log_weights is rel and got.n_max == rel.size - 1
+        assert got.log_weights.tobytes() == (want + log_weight(spec, n_peak)).tobytes()
+        shorter = dataclasses.replace(got, rel_log_weights=rel[:-1])
+        assert (shorter.n_max, shorter.tail_bound_rel) == (got.n_max - 1, got.tail_bound_rel)
+        unread = dataclasses.replace(truncate(spec, AdaptiveTruncation()), converged=False)
+        assert unread.rel_log_weights.tobytes() == want.tobytes() and not unread.converged
+
+    def test_peak_memory_where_the_series_is_longest(self):
+        """x = 3.4^2 0.3^-10 is about 2e6, where the array path kept about
+        2e6 terms (16 MB a row)."""
+        assert adaptive_truncate_peak_bytes(3.4, 5, 0.3) < 1 << 20
