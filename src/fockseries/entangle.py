@@ -214,7 +214,7 @@ def _displaced_purity(spec: StateSpec, setting: BeamSplitterSetting) -> float:
     """
     k = spec.k
     t, r = math.cos(setting.theta), math.sin(setting.theta)
-    beta = math.sqrt(_ratio_constant(spec)) if spec.alpha_abs > 0.0 else 0.0
+    beta = math.sqrt(_ratio_constant(spec))
     m, root_ratio, roots, hankel = _displaced_factors(k)
     down = beta * root_ratio  # c'_m / c'_(m+1), rising with m
     peak = int(down.searchsorted(1.0, side="right"))

@@ -24,10 +24,10 @@ sums and a, and its log_weights add ln w_a when read.  Adaptive truncation
 stops once the bound is below the requested tolerance, keeping two terms at
 least; for k <= 128 from scalars, the whole sum being e^c k! L_k(-c) (the
 state is a†^k|beta>), and such a series builds its sums when read.  The
-index arrays (n+k+1, ln(n+k+1), (n+1)^2, 2 ln(n+1)) are slices of one lazily
-grown table of rows j, ln j, j^2 and 2 ln j capped at 2^14 columns
-(4 x 128 KB), so that its memory does not grow with k; a series past the cap
-computes them directly, to the same bits.
+index arrays ln(n+k+1) and 2 ln(n+1) are slices of one read-only table of
+rows ln j and 2 ln j, 2^14 columns (2 x 128 KB) built once on first use, so
+that its memory does not grow with k; a series past it computes them
+directly, to the same bits.
 """
 from __future__ import annotations
 
@@ -47,10 +47,13 @@ DEFAULT_REL_TOL = 1e-14
 # state's O(k) closed forms (2-vCPU x86 host, one BLAS thread): Q's loop takes
 # 17 us at k = 128, as long as the retained moments, and grows with k; S's
 # displaced frame beats split + reduced_purity up to k ~ 200, but from k ~ 136
-# on the dense path errs past the 1e-11 the two are held to at this crossover
+# on the dense path errs past the 1e-11 the two are held to at this crossover;
+# the certificate's O(k) walk takes 0.1, 0.3, 30 and 600-860 ms at k = 200,
+# 1e3, 1e5 and 2e6, the array path 0.02 to 0.34 ms, and math.lgamma's rounding
+# at large arguments moves its bound from theirs by 2.5e-13 to 2.5e-7 relative
 _CLOSED_FORM_MAX_K = 128
-_TABLE_CAP = 1 << 14  # most columns of the index table of j, ln j, j^2 and 2 ln j
-_table = np.empty((4, 0))
+_TABLE_CAP = 1 << 14  # columns of the index table of ln j and 2 ln j
+_table = None  # built on first use
 
 
 @dataclass(frozen=True)
@@ -164,9 +167,11 @@ def _ratio(c: float, k: int, n):
 
 
 def _ratio_constant(spec: StateSpec) -> float:
-    # for |alpha| > 0: from logs where the direct form over- or underflows
+    # 0 at |alpha| = 0; else from logs where the direct form over- or underflows
     # (float ** raises) or |alpha|^2 is subnormal, which would cost bits of c;
     # inf only if c itself overflows.  Callers test isfinite.
+    if spec.alpha_abs == 0.0:
+        return 0.0
     try:
         c = spec.alpha_abs ** 2 * spec.q ** (-2 * spec.k)
     except OverflowError:
@@ -233,30 +238,28 @@ def _point(spec: StateSpec) -> str:
 
 
 def _index_row(row: int, lo: int, hi: int) -> np.ndarray:
-    """Row j, ln j, j^2 or 2 ln j (row 0 to 3) for j = lo+1..hi: computed
-    afresh past _TABLE_CAP, else a read-only slice of the table grown to the
-    next power of two (of the table this call checked, so another thread's
-    grow cannot narrow it)."""
+    """Row ln j or 2 ln j (row 0 or 1) for j = lo+1..hi: computed afresh past
+    _TABLE_CAP, else a read-only slice of the table (threads that race to
+    build it build equal tables, and either serves)."""
     global _table
-    t = _table
-    if hi > t.shape[1]:
-        j = np.arange(lo + 1.0, hi + 1) if hi > _TABLE_CAP else np.arange(
-            1.0, min(1 << (hi - 1).bit_length(), _TABLE_CAP) + 1)
-        ln_j = np.log(j)
-        t = np.stack((j, ln_j, j * j, 2.0 * ln_j))
-        if hi > _TABLE_CAP:
-            return t[row]
-        t.flags.writeable = False
-        _table = t
-    return t[row, lo:hi]
+    if hi > _TABLE_CAP:
+        ln_j = np.log(np.arange(lo + 1.0, hi + 1))
+        return 2.0 * ln_j if row else ln_j
+    if _table is None:
+        table = np.empty((2, _TABLE_CAP))
+        np.log(np.arange(1.0, _TABLE_CAP + 1), out=table[0])
+        np.multiply(table[0], 2.0, out=table[1])
+        table.flags.writeable = False
+        _table = table
+    return _table[row, lo:hi]
 
 
 def _log_ratio_sums(k: int, ln_c: float, anchor: int, size: int) -> np.ndarray:
     """ln(w_n/w_anchor) for n < size: the log-ratios ln c + ln(n+k+1) - 2 ln(n+1)
     summed outward from the anchor.  A term's value depends only on the terms
     between it and the anchor, not on size."""
-    log_ratios = ln_c + _index_row(1, k, k + size - 1)
-    log_ratios -= _index_row(3, 0, size - 1)
+    log_ratios = ln_c + _index_row(0, k, k + size - 1)
+    log_ratios -= _index_row(1, 0, size - 1)
     # summed into a second buffer: numpy copies the operands of an in-place accumulate
     out = np.empty(size)
     np.add.accumulate(log_ratios[anchor:], out=out[anchor + 1:])
@@ -265,11 +268,6 @@ def _log_ratio_sums(k: int, ln_c: float, anchor: int, size: int) -> np.ndarray:
         np.negative(out[:anchor], out=out[:anchor])
     out[anchor] = 0.0
     return out
-
-
-def _ratios(c: float, k: int, first: int, end: int) -> np.ndarray:
-    """_ratio(c, k, n) for n = first..end."""
-    return c * _index_row(0, first + k, end + k + 1) / _index_row(2, first, end + 1)
 
 
 def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
@@ -302,7 +300,7 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
             end = min(n_peak + width, DEFAULT_HARD_CAP)
             rel = _log_ratio_sums(k, ln_c, n_peak, end + 1)
             e = np.exp(rel)
-            bounds = _tail_bound(e[first:], _ratios(c, k, first, end),
+            bounds = _tail_bound(e[first:], _ratio(c, k, np.arange(first, end + 1.0)),
                                  np.add.accumulate(e)[first:])
             i = int((bounds <= policy.rel_tol).argmax())
             bound = float(bounds[i])
@@ -359,7 +357,7 @@ def _closed_form_stop(k: int, ln_c: float, c: float, n_peak: int, lo: int, width
             tail, t_m, r_m, m = 0.0, t_n, r_n, n
             while t_m * r_m > eps_z * (1.0 - r_m):  # what the tail leaves is not negligible
                 t_m, m = t_m * r_m, m + 1
-                r_m = c * (m + (k + 1.0)) / (m + 1.0) ** 2  # _ratio
+                r_m = _ratio(c, k, m)
                 tail += t_m
             bound = _tail_bound(t_n, r_n, total - tail)
             if bound <= rel_tol:
@@ -418,7 +416,7 @@ def _closed_statistics(spec: StateSpec) -> PhotonStatistics:
     N_p = p! L_p(-x), by the three-term recurrence g_1 = 0, g_(p+1) =
     p (x + g_p)/(x + p + g_p) on nonnegative numbers, so nothing cancels;
     then <m> = x + k + g and Var = (1 + k - g) x - g^2."""
-    x = _ratio_constant(spec) if spec.alpha_abs > 0.0 else 0.0
+    x = _ratio_constant(spec)
     k, g = spec.k, 0.0
     for p in range(1, k + 1):
         g = p * (x + g) / (x + p + g)

@@ -154,6 +154,11 @@ class TestWeightRatio:
         exact = mp.mpf(3e-162) ** 2 * mp.mpf(1e-100) ** -2
         assert abs(c - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize("k, q", [(0, 1.0), (3, 0.5), (2_000_000, 1.0), (1, 1e-300)])
+    def test_ratio_constant_is_zero_at_zero_amplitude(self, k, q):
+        """No math.log(0.0), and no overflow of q^(-2k) at q = 1e-300."""
+        assert _ratio_constant(penson_solomon_state(0.0, k, q)).hex() == (0.0).hex()
+
     def test_strictly_decreasing_and_vanishing(self):
         """The ratio falls like c/n, so the series is entire."""
         spec = penson_solomon_state(2.5, 4, 0.6)
@@ -319,20 +324,25 @@ class TestChunkedTail:
         assert adaptive_truncate_peak_bytes(1e-3, 2_000_000, 1.0) < 1 << 20
 
 
-def adaptive_truncate_peak_bytes(alpha, k, q):
-    """tracemalloc's peak over one adaptive truncate call, in a fresh
-    process, so that no earlier allocation is counted."""
-    code = ("import tracemalloc\n"
-            "from fockseries import AdaptiveTruncation, penson_solomon_state, truncate\n"
-            f"spec = penson_solomon_state({alpha!r}, {k!r}, {q!r})\n"
-            "tracemalloc.start()\n"
-            "truncate(spec, AdaptiveTruncation())\n"
-            "print(tracemalloc.get_traced_memory()[1])\n")
+def fresh_process_stdout(code):
+    """What the code prints, run in a new interpreter on this fockseries."""
     src = Path(fockseries.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
+    return proc.stdout
+
+
+def adaptive_truncate_peak_bytes(alpha, k, q):
+    """tracemalloc's peak over one adaptive truncate call, in a fresh
+    process, so that no earlier allocation is counted."""
+    return int(fresh_process_stdout(
+        "import tracemalloc\n"
+        "from fockseries import AdaptiveTruncation, penson_solomon_state, truncate\n"
+        f"spec = penson_solomon_state({alpha!r}, {k!r}, {q!r})\n"
+        "tracemalloc.start()\n"
+        "truncate(spec, AdaptiveTruncation())\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"))
 
 
 def sum_outward(log_ratios, anchor):
@@ -353,15 +363,10 @@ def direct_log_ratio_sums(k, ln_c, anchor, size):
     return sum_outward(ln_c + np.log(m + k) - 2.0 * np.log(m), anchor)
 
 
-def direct_ratios(c, k, first, end):
-    return _ratio(c, k, np.arange(first, end + 1.0))
-
-
 def direct_truncate(spec, policy):
-    """truncate with both kernels computing their index arrays directly."""
+    """truncate with its log-ratio kernel computing its index arrays directly."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "_log_ratio_sums", direct_log_ratio_sums)
-        mp.setattr(series, "_ratios", direct_ratios)
         return truncate(spec, policy)
 
 
@@ -398,13 +403,13 @@ def index_table_grid(size=300, seed=23):
 @pytest.fixture
 def empty_table(monkeypatch):
     """An unbuilt index table, restored to the shared one afterwards."""
-    monkeypatch.setattr(series, "_table", series._table[:, :0])
+    monkeypatch.setattr(series, "_table", None)
 
 
 class TestIndexTable:
-    """truncate takes j, ln j and j^2 from a table of at most _TABLE_CAP
-    columns, past which it computes them; either way the bits are those of
-    arrays built afresh on every call."""
+    """truncate takes ln j and 2 ln j from a table of _TABLE_CAP columns,
+    past which it computes them; either way the bits are those of arrays
+    built afresh on every call."""
 
     def test_same_bits_on_a_seeded_grid(self, empty_table):
         for spec, policy in index_table_grid():
@@ -412,14 +417,14 @@ class TestIndexTable:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_same_bits_at_the_cap(self, empty_table, offset):
-        """The two kernels and a fixed-cutoff series each needing
-        _TABLE_CAP + offset columns: k + size - 1 for the log-ratio sums of
-        size terms, k + end + 1 for the ratios up to n = end."""
+        """The log-ratio sums of 502 terms and a fixed-cutoff series each
+        needing _TABLE_CAP + offset columns (k + size - 1), and the adaptive
+        window of that k > 128, whose ratios are _ratio's."""
         k, c = series._TABLE_CAP + offset - 501, 0.25
         got = series._log_ratio_sums(k, math.log(c), 0, 502)
         assert got.tobytes() == direct_log_ratio_sums(k, math.log(c), 0, 502).tobytes()
-        assert series._ratios(c, k, 3, 500).tobytes() == direct_ratios(c, k, 3, 500).tobytes()
-        assert_same_bits(penson_solomon_state(0.5, k, 1.0), FixedTruncation(n_max=501))
+        for policy in (FixedTruncation(n_max=501), AdaptiveTruncation()):
+            assert_same_bits(penson_solomon_state(0.5, k, 1.0), policy)
 
     @pytest.mark.parametrize("k, anchor, size", [
         (3, 0, 25), (3, 24, 25), (0, 0, 1), (3, 0, 1), (3, 0, 2), (3, 1, 2),
@@ -449,23 +454,23 @@ class TestIndexTable:
             n_max = truncate(spec, AdaptiveTruncation()).n_max
             assert_same_bits(spec, FixedTruncation(n_max=n_max))
 
-    def test_retained_size(self, empty_table, monkeypatch):
-        """At most twice the columns a fig2-sized call needs, and at most
-        _TABLE_CAP after a call past the cap."""
-        needs = []
-        index_row = series._index_row
-
-        def recorded(row, lo, hi):
-            needs.append(hi)
-            return index_row(row, lo, hi)
-
-        monkeypatch.setattr(series, "_index_row", recorded)
-        for policy in (FixedTruncation(n_max=700), AdaptiveTruncation()):
-            truncate(penson_solomon_state(2.75, 3, 0.5), policy)
-        assert 0 < series._table.shape[1] <= 2 * max(needs)
-        truncate(penson_solomon_state(300.0, 0, 1.0), FixedTruncation(n_max=100_000))
-        assert max(needs) > series._TABLE_CAP
-        assert series._table.shape[1] <= series._TABLE_CAP
+    def test_retained_size(self, empty_table):
+        """Not built at import; built once on first use, the rows ln j and
+        2 ln j, _TABLE_CAP wide and read-only, and kept through calls within
+        and past the cap."""
+        assert fresh_process_stdout("import fockseries, fockseries.cli, fockseries.series as s\n"
+                                    "print(s._table is None)\n") == "True\n"
+        truncate(penson_solomon_state(2.75, 3, 0.5), FixedTruncation(n_max=700))
+        table = series._table
+        ln_j = np.log(np.arange(1.0, series._TABLE_CAP + 1))
+        assert table.tobytes() == np.stack((ln_j, 2.0 * ln_j)).tobytes()
+        assert table.shape == (2, series._TABLE_CAP) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            series._index_row(1, 0, 10)[0] = 0.0
+        for spec, n_max in [((300.0, 0, 1.0), 100_000), ((0.5, 3, 0.5), 100)]:
+            truncate(penson_solomon_state(*spec), FixedTruncation(n_max=n_max))
+        truncate(penson_solomon_state(1e-3, 2_000_000, 1.0), AdaptiveTruncation())
+        assert series._table is table
 
 
 class TestTruncate:
@@ -899,7 +904,6 @@ class TestClosedFormCertificate:
 
         want = values()
         monkeypatch.setattr(series, "_log_ratio_sums", raise_if_called)
-        monkeypatch.setattr(series, "_ratios", raise_if_called)
         assert values() == want
 
     @pytest.mark.parametrize("alpha, k, q", POINTS)
