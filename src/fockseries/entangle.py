@@ -20,15 +20,13 @@ photons.  The splitter maps D(beta) x 1 to the local D(t beta) x D(r beta),
 which leave the purity unchanged, so A has rank k+1 and, in the displaced
 frame, is (k+1) x (k+1).  A converged series with k <= 128 takes that
 path (``_displaced_purity``); the rest build the D x D matrix A (``split``)
-and take its purity (``reduced_purity``).
+and take its purity (``reduced_purity``); each imports numpy itself.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import HardCapExceeded, InvalidParameter, UnnormalizedInput
 from .series import (
@@ -105,6 +103,7 @@ def split(series: TruncatedSeries,
     point), so both logs are finite.  ``norm_tol`` is fixed here, from the
     series' tail bound and the largest log term, for the unit-norm check.
     """
+    import numpy as np
     if not isinstance(setting, BeamSplitterSetting):
         raise InvalidParameter("setting must be a BeamSplitterSetting")
 
@@ -146,6 +145,7 @@ def split(series: TruncatedSeries,
 
 def _mass_window(mass: np.ndarray) -> tuple[int, int]:
     """[lo, hi) of ``mass`` less the longest run at each end summing to <= _TRIM_MASS."""
+    import numpy as np
     lo = int(np.searchsorted(np.cumsum(mass), _TRIM_MASS, side="right"))
     hi = mass.size - int(np.searchsorted(np.cumsum(mass[::-1]), _TRIM_MASS, side="right"))
     return lo, hi
@@ -165,6 +165,7 @@ def reduced_purity(amps: JointAmplitudes) -> float:
     shorter side W is summed in blocks of 32 rows against the rows from
     there on: O(W^3) work in BLAS-3 products and 32 x W extra memory.
     """
+    import numpy as np
     a = amps.matrix
     row_mass = np.einsum("ij,ij->i", a, a)
     norm = float(row_mass.sum())
@@ -189,6 +190,7 @@ def _displaced_factors(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     """Read-only m = 0..k, sqrt(m+1)/(k-m) for m < k, the (k+1) x (k+1)
     Hankel factor sqrt(C(j+l, j)), 0 past j + l = k, and the Hankel index
     min(j+l, k): at most 129^2 intp (130 KB) an entry, 2.1 MB in all 16."""
+    import numpy as np
     m = np.arange(k + 1.0)
     roots = np.zeros((k + 1, k + 1))
     for j in range(k + 1):
@@ -212,6 +214,7 @@ def _displaced_purity(spec: StateSpec, setting: BeamSplitterSetting) -> float:
     amplitudes are A'(j, l) = c'_(j+l) sqrt(C(j+l, j)) t^j r^l, j + l <= k,
     and the purity is ||A' A'^T||_F^2 / Tr(A' A'^T)^2.
     """
+    import numpy as np
     k = spec.k
     t, r = math.cos(setting.theta), math.sin(setting.theta)
     beta = math.sqrt(_ratio_constant(spec))

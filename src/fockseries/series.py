@@ -27,7 +27,8 @@ state is a†^k|beta>), and such a series builds its sums when read.  The
 index arrays ln(n+k+1) and 2 ln(n+1) are slices of one read-only table of
 rows ln j and 2 ln j, 2^14 columns (2 x 128 KB) built once on first use, so
 that its memory does not grow with k; a series past it computes them
-directly, to the same bits.
+directly, to the same bits.  Only the functions that build an array (a fixed
+cutoff, k > 128, a weight read) import numpy; the closed forms run without.
 """
 from __future__ import annotations
 
@@ -36,8 +37,7 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import count
-
-import numpy as np
+from numbers import Integral
 
 from .errors import HardCapExceeded, InvalidParameter
 from .states import DEFAULT_HARD_CAP, StateSpec
@@ -96,7 +96,7 @@ class TruncatedSeries:
     to the retained sum; it is +inf when no geometric bound exists (fixed
     cutoff with term ratio still >= 1).  ``converged`` is False whenever the
     bound fails the policy tolerance, and the sweep copies it into every row.
-    An adaptive series with k <= 128 builds rel_log_weights on first read.
+    An adaptive series with k <= 128 or at |alpha| = 0 builds its weights when read.
     """
 
     spec: StateSpec
@@ -121,6 +121,14 @@ class TruncatedSeries:
         return self.rel_log_weights + _log_weight(self.spec, self.anchor)
 
 
+def _deferred_series(spec: StateSpec, bound: float, deferred: tuple) -> TruncatedSeries:
+    """A converged series that builds rel_log_weights = _log_ratio_sums(*deferred) when read."""
+    series = object.__new__(TruncatedSeries)
+    series.__dict__.update(spec=spec, anchor=deferred[2], tail_bound_rel=bound, converged=True,
+                           _deferred=deferred)
+    return series
+
+
 @dataclass(frozen=True)
 class PhotonStatistics:
     mean_n: float
@@ -131,6 +139,7 @@ class PhotonStatistics:
 def _logsumexp(a: np.ndarray) -> float:
     """ln sum exp(a) of a finite 1-D array in the reference logsumexp's
     operation order: the maximal entries leave the sum as log(count)."""
+    import numpy as np
     a_max = a.max()
     at_max = a == a_max
     count = np.float64(np.count_nonzero(at_max))
@@ -143,7 +152,7 @@ def _logsumexp(a: np.ndarray) -> float:
 def log_weight(spec: StateSpec, n: int) -> float:
     """ln w_n of the normalization series, via log-gamma and the closed-form
     deformed factorial (never by repeated multiplication)."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
         raise InvalidParameter(f"n must be a nonnegative integer, got {n!r}")
     if spec.alpha_abs == 0.0 and n > 0:
         raise InvalidParameter(
@@ -220,8 +229,8 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
     if not isinstance(spec, StateSpec):
         raise InvalidParameter("spec must be a StateSpec")
     if spec.alpha_abs == 0.0:
-        # every n >= 1 weight is exactly zero; single-term series, no tail
-        return TruncatedSeries(spec, np.zeros(1), 0, tail_bound_rel=0.0, converged=True)
+        # every n >= 1 weight is exactly zero: one term, ln(w_0/w_0) = 0.0, no tail
+        return _deferred_series(spec, 0.0, (spec.k, 0.0, 0, 1))
     c = _ratio_constant(spec)
     # the log form, whose two terms can cancel, only where c is not a normal double
     ln_c = (math.log(c) if sys.float_info.min <= c < math.inf
@@ -241,6 +250,7 @@ def _index_row(row: int, lo: int, hi: int) -> np.ndarray:
     """Row ln j or 2 ln j (row 0 or 1) for j = lo+1..hi: computed afresh past
     _TABLE_CAP, else a read-only slice of the table (threads that race to
     build it build equal tables, and either serves)."""
+    import numpy as np
     global _table
     if hi > _TABLE_CAP:
         ln_j = np.log(np.arange(lo + 1.0, hi + 1))
@@ -258,6 +268,7 @@ def _log_ratio_sums(k: int, ln_c: float, anchor: int, size: int) -> np.ndarray:
     """ln(w_n/w_anchor) for n < size: the log-ratios ln c + ln(n+k+1) - 2 ln(n+1)
     summed outward from the anchor.  A term's value depends only on the terms
     between it and the anchor, not on size."""
+    import numpy as np
     log_ratios = ln_c + _index_row(0, k, k + size - 1)
     log_ratios -= _index_row(1, 0, size - 1)
     # summed into a second buffer: numpy copies the operands of an in-place accumulate
@@ -290,12 +301,10 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
     width = _peak_width(-2.0 * math.log(policy.rel_tol), n_peak, k)  # 1/rel_tol can overflow
     if k <= _CLOSED_FORM_MAX_K:
         n_max, bound = _closed_form_stop(k, ln_c, c, n_peak, first, width, policy.rel_tol)
-        if n_max <= DEFAULT_HARD_CAP:  # a series whose weights are built when read
-            series = object.__new__(TruncatedSeries)
-            series.__dict__.update(spec=spec, anchor=n_peak, tail_bound_rel=bound, converged=True,
-                                   _deferred=(k, ln_c, n_peak, n_max + 1))
-            return series
+        if n_max <= DEFAULT_HARD_CAP:
+            return _deferred_series(spec, bound, (k, ln_c, n_peak, n_max + 1))
     else:
+        import numpy as np
         while True:
             end = min(n_peak + width, DEFAULT_HARD_CAP)
             rel = _log_ratio_sums(k, ln_c, n_peak, end + 1)
@@ -366,6 +375,7 @@ def _closed_form_stop(k: int, ln_c: float, c: float, n_peak: int, lo: int, width
 
 def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,
                     ln_c: float, c: float) -> TruncatedSeries:
+    import numpy as np
     n_max = policy.n_max
     r = _ratio(c, spec.k, n_max)
     # anchored at the largest retained term: the peak, or n_max before it
@@ -391,6 +401,7 @@ def photon_distribution(series: TruncatedSeries) -> list[tuple[int, float]]:
     retained terms and therefore sum to 1 up to rounding (the true
     distribution differs by at most tail_bound_rel).
     """
+    import numpy as np
     z = np.exp(series.rel_log_weights)
     p = z / z.sum()
     return [(n + series.spec.k, float(pn)) for n, pn in enumerate(p)]
@@ -400,6 +411,7 @@ def _retained_statistics(series: TruncatedSeries) -> PhotonStatistics:
     """Moments of the retained distribution, in two passes: the mean, then
     the centered variance sum w_n (n+k-mu)^2 / sum w_n, which avoids the
     cancellation of <n^2> - <n>^2 when the mean is large."""
+    import numpy as np
     z = np.exp(series.rel_log_weights)
     ns = np.arange(z.size, dtype=np.float64) + series.spec.k
     total = np.add.reduce(z)

@@ -6,7 +6,7 @@ metadata lines, a column-name line, then comma-separated rows.  Floats are
 written with repr() (the shortest decimal that parses back to the identical
 float64), booleans as lowercase true/false, missing values as empty fields;
 every file is ASCII with LF line ends, so identical inputs yield
-byte-identical files.
+byte-identical files.  Building the grid loads no numpy.
 """
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from ._version import __version__
 from .entangle import BeamSplitterSetting, linear_entropy
@@ -121,12 +119,19 @@ def _sweep_metadata(req: SweepRequest) -> dict:
     return metadata
 
 
+def _grid(lo: float, hi: float, steps: int) -> list[float]:
+    """numpy.linspace(lo, hi, steps) by its float operations: i * step + lo, or
+    i / div * delta + lo where the step rounds to 0 (subnormal bounds), then hi."""
+    div, delta = steps - 1, hi - lo
+    step = delta / div
+    return [i * step + lo if step else i / div * delta + lo for i in range(div)] + [hi]
+
+
 def _evaluate(req: SweepRequest) -> list[tuple]:
     """The CSV rows of the whole grid."""
-    with np.errstate(over="ignore"):  # the last step can overflow; linspace ends on alpha_max
-        grid = np.linspace(req.alpha_min, req.alpha_max, req.steps)
     setting = BeamSplitterSetting(req.theta)
-    return [_evaluate_point(req, setting, float(alpha)) for alpha in grid]
+    return [_evaluate_point(req, setting, alpha)
+            for alpha in _grid(req.alpha_min, req.alpha_max, req.steps)]
 
 
 def format_cell(value: Any) -> str:

@@ -118,6 +118,15 @@ class TestLogWeight:
         with pytest.raises(InvalidParameter):
             log_weight(penson_solomon_state(1.0, 0, 1.0), -1)
 
+    def test_numpy_integers_accepted_bools_and_floats_rejected(self):
+        """n is checked against numbers.Integral, which numpy's integers
+        register with; a bool and a float, numpy's too, stay rejected."""
+        spec = penson_solomon_state(2.0, 0, 1.0)
+        assert log_weight(spec, np.int64(5)) == log_weight(spec, 5)
+        for n in (True, 5.0, np.float64(5)):
+            with pytest.raises(InvalidParameter):
+                log_weight(spec, n)
+
 
 class TestWeightRatio:
     def test_poisson_ratios(self):
@@ -335,9 +344,12 @@ def fresh_process_stdout(code):
 
 def adaptive_truncate_peak_bytes(alpha, k, q):
     """tracemalloc's peak over one adaptive truncate call, in a fresh
-    process, so that no earlier allocation is counted."""
+    process, so that no earlier allocation is counted.  numpy is imported
+    before tracing starts: fockseries imports it where a call first builds
+    an array, and that import's own allocations are not the call's."""
     return int(fresh_process_stdout(
         "import tracemalloc\n"
+        "import numpy\n"
         "from fockseries import AdaptiveTruncation, penson_solomon_state, truncate\n"
         f"spec = penson_solomon_state({alpha!r}, {k!r}, {q!r})\n"
         "tracemalloc.start()\n"
@@ -481,6 +493,15 @@ class TestTruncate:
             assert series.log_weights.size == 1
             assert series.tail_bound_rel == 0.0
             assert series.converged
+
+    @pytest.mark.parametrize("k", [0, 3, 200, 1 << 15])
+    def test_zero_amplitude_weight_is_zero_when_read(self, k):
+        """The lone weight, built on first read, is ln(w_0/w_0) = 0.0 at
+        anchor 0 for any k, past the index table's columns too."""
+        series = truncate(penson_solomon_state(0.0, k, 0.5), AdaptiveTruncation())
+        assert series.n_max == 0 and series.anchor == 0
+        assert series.rel_log_weights.tolist() == [0.0]
+        assert series.log_weights.tolist() == [log_weight(series.spec, 0)]
 
     def test_poisson_sum_matches_exponential(self):
         """sum w_n = e^(|alpha|^2) for the coherent family; ln N = -|alpha|^2/2."""

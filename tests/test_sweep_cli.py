@@ -189,6 +189,25 @@ class TestRunSweep:
         assert (req.alpha_min, req.alpha_max, req.steps) == (0.0, 1.0, 201)
 
 
+# grid bounds: any finite nonnegative float, or one near the subnormals, where the step rounds to 0
+grid_bounds = st.one_of(st.floats(0.0, sys.float_info.max), st.floats(0.0, 1e-320))
+
+
+class TestGrid:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(bounds=st.tuples(grid_bounds, grid_bounds).map(sorted), steps=st.integers(2, 64))
+    @example(bounds=[0.0, sys.float_info.max], steps=4)
+    @example(bounds=[5e-324, 1e-323], steps=7)
+    @example(bounds=[0.0, 5.0], steps=MAX_STEPS)
+    @example(bounds=[0.0, sys.float_info.max], steps=MAX_STEPS)
+    def test_grid_is_linspace_bit_for_bit(self, bounds, steps):
+        """The sweep's grid, built from floats, is numpy.linspace's."""
+        lo, hi = bounds
+        with np.errstate(over="ignore"):  # linspace's unused last step can overflow
+            ref = np.linspace(lo, hi, steps)
+        assert np.array(sweep._grid(lo, hi, steps)).tobytes() == ref.tobytes()
+
+
 class TestPresets:
     def test_fig1_left_curves(self, tmp_path):
         paths = run_preset("fig1-left", tmp_path, steps=9)
@@ -465,15 +484,34 @@ class TestCliExitCodes:
         assert all(r["converged"] == "false" and r["tail_bound_rel"] == "inf"
                    for r in rows[1:])
 
-    @pytest.mark.parametrize("module", ["mpmath", "scipy"])
+    @pytest.mark.parametrize("module", ["mpmath", "scipy", "numpy"])
     def test_cli_does_not_load(self, module):
-        """The oracle's mpmath is loaded only by fockseries.oracle, and scipy
-        (a test-only reference) never."""
+        """The oracle's mpmath is loaded only by fockseries.oracle, scipy (a
+        test-only reference) never, and numpy only where a point builds an
+        array."""
         src = Path(fockseries.__file__).resolve().parent.parent
         code = f"import sys, fockseries.cli; assert {module!r} not in sys.modules"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_closed_form_runs_load_no_numpy(self, tmp_path):
+        """The fig1 presets and an adaptive Q sweep with k <= 128 on the
+        default grid, which starts at |alpha| = 0, take every point from
+        scalar closed forms, so no process of theirs imports numpy."""
+        src = Path(fockseries.__file__).resolve().parent.parent
+        runs = [["preset", "--name", "fig1-left", "--out-dir", str(tmp_path / "left")],
+                ["preset", "--name", "fig1-right", "--out-dir", str(tmp_path / "right")],
+                ["sweep", "--observable", "mandel_q", "--q", "0.5", "--k", "3",
+                 "--out", str(tmp_path / "q.csv")]]
+        for argv in runs:
+            code = ("import sys\nfrom fockseries.cli import main\n"
+                    f"assert main({argv!r}) == 0\nassert 'numpy' not in sys.modules\n")
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+            assert proc.returncode == 0, (argv, proc.stderr)
+        _, rows = read_curve_csv(tmp_path / "q.csv")
+        assert (len(rows), rows[0]["alpha"]) == (201, "0.0")
 
     def test_default_grids_per_observable(self, tmp_path):
         """Unset flags take the library's defaults: 201 points on [0,5] for
@@ -539,7 +577,7 @@ class TestCliExitCodeProperties:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(q=mostly(st.floats(1e-300, 1.0), st.sampled_from([math.nan, math.inf, -math.inf])),
            k=st.integers(-2, 300), grid=grids(5.0, st.floats()), steps=steps, policy=policies)
-    # linspace's last step overflows here, though every grid point is finite
+    # the widest grid: its step is a third of the largest float, and every point is finite
     @example(q=1.0, k=0, grid=(0.0, sys.float_info.max), steps=4, policy="fixed:0")
     def test_mandel_q(self, q, k, grid, steps, policy):
         lo, hi = grid
