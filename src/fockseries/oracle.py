@@ -16,12 +16,11 @@ truncated.  With m the photon number:
   S = 1 - Tr((R Phi)^2) / Tr(R Phi)^2.
 
 Every term is nonnegative and the factors e^(-x) cancel from each ratio.
-The double-precision entropy path for converged series rests on the same
-rank-(k+1) split, but in the displaced frame: it splits the (k+1)-term
-Fock vector (a† + beta)^k|0> and takes the purity of its joint amplitudes,
-with no normal-ordered Gram sum and no trace ratio of R Phi.  Its Q for
-converged series (k <= 128) takes the Laguerre ratios by their three-term
-recurrence, so the tests also hold it to the retained Fock distribution.
+The double-precision entropy path for converged series takes the purity
+from a two-copy identity, a sum over the Laguerre ratios at 2x with no Gram
+matrix and no trace ratio of R Phi.  Its Q for converged series takes the
+Laguerre ratios at x by their three-term recurrence, so the tests also hold
+it to the retained Fock distribution.
 The normal-ordered closed forms share no formula with the double-precision
 modules, so any disagreement with them localizes the bug.
 """

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import count
@@ -43,14 +44,10 @@ from .errors import HardCapExceeded, InvalidParameter
 from .states import DEFAULT_HARD_CAP, StateSpec
 
 DEFAULT_REL_TOL = 1e-14
-# largest k whose adaptive certificate, Q and S take the photon-added coherent
-# state's O(k) closed forms (2-vCPU x86 host, one BLAS thread): Q's loop takes
-# 17 us at k = 128, as long as the retained moments, and grows with k; S's
-# displaced frame beats split + reduced_purity up to k ~ 200, but from k ~ 136
-# on the dense path errs past the 1e-11 the two are held to at this crossover;
-# the certificate's O(k) walk takes 0.1, 0.3, 30 and 600-860 ms at k = 200,
-# 1e3, 1e5 and 2e6, the array path 0.02 to 0.34 ms, and math.lgamma's rounding
-# at large arguments moves its bound from theirs by 2.5e-13 to 2.5e-7 relative
+# largest k whose adaptive certificate takes the closed-form sum (2-vCPU x86
+# host): its O(k) walk takes 0.1, 0.3, 30 and 600-860 ms at k = 200, 1e3, 1e5
+# and 2e6, the array path 0.02 to 0.34 ms, and math.lgamma's rounding at large
+# arguments moves its bound from theirs by 2.5e-13 to 2.5e-7 relative
 _CLOSED_FORM_MAX_K = 128
 _TABLE_CAP = 1 << 14  # columns of the index table of ln j and 2 ln j
 _table = None  # built on first use
@@ -324,6 +321,16 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
         f"without certifying rel_tol={policy.rel_tol}")
 
 
+def _laguerre_walk(y: float, n: int) -> Iterator[float]:
+    """g_1..g_n at y >= 0, where N_p/N_(p-1) = y + p + g_p for N_p = p! L_p(-y):
+    the three-term recurrence g_1 = 0, g_(p+1) = p (y + g_p)/(y + p + g_p) on
+    nonnegative numbers, so nothing cancels."""
+    g = 0.0
+    for p in range(1, n + 1):
+        yield g
+        g = p * (y + g) / (y + p + g)
+
+
 def _closed_form_stop(k: int, ln_c: float, c: float, n_peak: int, lo: int, width: int,
                       rel_tol: float) -> tuple[int, float]:
     """(n, bound) at the first n >= lo whose bound passes rel_tol (past the cap
@@ -336,10 +343,9 @@ def _closed_form_stop(k: int, ln_c: float, c: float, n_peak: int, lo: int, width
         return t, (r := _ratio(c, k, n)), _tail_bound(t, r, total)
 
     ln_peak = n_peak * ln_c + math.lgamma(n_peak + k + 1) - 2.0 * math.lgamma(n_peak + 1)
-    g = ln_n = 0.0  # ln N_k: N_p/N_(p-1) = c + p + g_p, as in _closed_statistics
-    for p in range(1, k + 1):
+    ln_n = 0.0  # ln N_k, summed left to right (sum compensates from Python 3.12)
+    for p, g in enumerate(_laguerre_walk(c, k), 1):
         ln_n += math.log(c + p + g)
-        g = p * (c + g) / (c + p + g)
     total = math.exp(c + ln_n - ln_peak)
     eps_z = sys.float_info.epsilon * total
     t, r, b = probe(hi := min(n_peak + width, DEFAULT_HARD_CAP))
@@ -424,14 +430,12 @@ def _retained_statistics(series: TruncatedSeries) -> PhotonStatistics:
 
 
 def _closed_statistics(spec: StateSpec) -> PhotonStatistics:
-    """Moments of a†^k|beta>, beta^2 = x, in O(k): g = k - k^2 N_(k-1)/N_k,
-    N_p = p! L_p(-x), by the three-term recurrence g_1 = 0, g_(p+1) =
-    p (x + g_p)/(x + p + g_p) on nonnegative numbers, so nothing cancels;
-    then <m> = x + k + g and Var = (1 + k - g) x - g^2."""
+    """Moments of a†^k|beta>, beta^2 = x, in O(k) from g = g_(k+1) = k - k^2
+    N_(k-1)/N_k: <m> = x + k + g and Var = (1 + k - g) x - g^2."""
     x = _ratio_constant(spec)
-    k, g = spec.k, 0.0
-    for p in range(1, k + 1):
-        g = p * (x + g) / (x + p + g)
+    k = spec.k
+    for g in _laguerre_walk(x, k + 1):
+        pass
     mean = x + k + g
     variance = (1 + k - g) * x - g * g
     return PhotonStatistics(mean_n=mean, variance=variance,
@@ -440,9 +444,9 @@ def _closed_statistics(spec: StateSpec) -> PhotonStatistics:
 
 def photon_statistics(series: TruncatedSeries) -> PhotonStatistics:
     """Mean, variance, and Mandel Q (None for the vacuum, whose mean is 0):
-    a converged series with k <= 128 gives the untruncated state's, in closed
-    form and reading no log-weight (k = 0 gives Q = 0 exactly); an unconverged
-    one, and k past 128, those of the retained distribution."""
-    if series.converged and series.spec.k <= _CLOSED_FORM_MAX_K:
+    a converged series gives the untruncated state's, in closed form and
+    reading no log-weight (k = 0 gives Q = 0 exactly); an unconverged one
+    those of the retained distribution."""
+    if series.converged:
         return _closed_statistics(series.spec)
     return _retained_statistics(series)

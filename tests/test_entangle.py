@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,9 +29,8 @@ from fockseries.entangle import (
     MAX_DIM,
     _mass_window,
 )
-from fockseries.oracle import oracle_entropy
+from fockseries.oracle import _beta, oracle_entropy
 from fockseries.series import (
-    _CLOSED_FORM_MAX_K,
     _first_subunit_ratio_index,
     _logsumexp,
     _peak_width,
@@ -460,46 +460,34 @@ def gram_grid():
     return grid
 
 
-def reference_displaced_purity(spec, setting):
-    """_displaced_purity written entry by entry: c' by its term ratios
-    outward from the largest term, A'(j, l) = c'_(j+l) sqrt(C(j+l, j)) t^j r^l
-    for j + l <= k with entries below 1e-150 dropped.  Its numpy recurrences,
-    strided Hankel view and cached factors must equal this bit for bit.  The
-    powers of t and r come from numpy's power, as there, since it may round
-    differently from math.pow."""
-    k = spec.k
-    t, r = math.cos(setting.theta), math.sin(setting.theta)
-    beta = math.sqrt(_ratio_constant(spec)) if spec.alpha_abs > 0.0 else 0.0
-    down = [beta * (math.sqrt(m + 1.0) / (k - m)) for m in range(k)]  # c'_m / c'_(m+1)
-    peak = sum(d <= 1.0 for d in down)
-    c = [0.0] * (k + 1)
-    c[peak] = 1.0
-    for m in range(peak - 1, -1, -1):
-        c[m] = c[m + 1] * down[m]
-    for m in range(peak, k):
-        c[m + 1] = c[m] * (1.0 / down[m])
-    t_pow, r_pow = t ** np.arange(k + 1.0), r ** np.arange(k + 1.0)
-    a = np.zeros((k + 1, k + 1))
-    for j in range(k + 1):
-        for l in range(k + 1 - j):
-            v = c[j + l] * math.sqrt(math.comb(j + l, j)) * t_pow[j] * r_pow[l]
-            a[j, l] = v if v >= 1e-150 else 0.0
-    rho = a @ a.T
-    return float((rho * rho).sum() / rho.trace() ** 2)
+def identity_purity(k, x, theta, bits=250):
+    """P(theta) = sum_p C(k,p)^2 (2p)! cos(2 theta)^(2p) N_(2k-2p)(2x) /
+    (4^k N_k(x)^2) in mpmath, the two-copy identity that _closed_entropy
+    evaluates, with N_n(y) = n! L_n(-y) from the three-term recurrence
+    N_n = (2n - 1 + y) N_(n-1) - (n-1)^2 N_(n-2) rather than from ratios."""
+    with mp.workprec(bits):
+        def norms(y, top):
+            out = [mp.mpf(1), 1 + y]
+            for n in range(2, top + 1):
+                out.append((2 * n - 1 + y) * out[-1] - (n - 1) ** 2 * out[-2])
+            return out
+        x = mp.mpf(x)
+        n2, n1 = norms(2 * x, 2 * k), norms(x, k)
+        c2 = mp.cos(2 * mp.mpf(theta)) ** 2
+        return mp.fsum(math.comb(k, p) ** 2 * math.factorial(2 * p) * c2 ** p * n2[2 * k - 2 * p]
+                       for p in range(k + 1)) / (mp.mpf(4) ** k * n1[k] ** 2)
 
 
-def assert_matches_the_references(spec, setting):
-    """_displaced_purity equals reference_displaced_purity bit for bit and the
-    Fock-series reference_gram_purity to 1e-15."""
-    purity = entangle._displaced_purity(spec, setting)
-    assert purity == reference_displaced_purity(spec, setting)
+def assert_matches_the_gram_reference(spec, setting):
+    """linear_entropy's purity is within 1e-15 of the Fock-series
+    reference_gram_purity."""
+    purity = linear_entropy(truncate(spec, AdaptiveTruncation()), setting).purity
     assert abs(purity - reference_gram_purity(spec, setting)) <= 1e-15
 
 
 class TestGramPath:
-    """A converged series with k <= _CLOSED_FORM_MAX_K takes S from the
-    (k+1) x (k+1) joint amplitudes of its displaced frame; the rest take split
-    and reduced_purity."""
+    """A converged series takes S from the two-copy closed form, in O(k) at
+    any k; an unconverged one takes split and reduced_purity."""
 
     @pytest.mark.parametrize("q, k, theta", [
         (0.5, 1, math.pi / 4.0), (0.5, 3, math.pi / 4.0), (0.8, 4, math.pi / 4.0),
@@ -511,12 +499,50 @@ class TestGramPath:
             s = linear_entropy(truncate(spec, AdaptiveTruncation()), setting).linear_entropy
             assert abs(s - float(oracle_entropy(spec, setting).linear_entropy)) <= 1e-15
 
-    @pytest.mark.parametrize("k", [*range(9), _CLOSED_FORM_MAX_K])
+    @pytest.mark.parametrize("q, k, alpha", [(0.7, 2, 1.0), (0.5, 3, 0.5), (1.0, 1, 2.0),
+                                             (0.8, 8, 0.3)])
+    def test_fully_reflecting_matches_the_oracle_relatively(self, q, k, alpha):
+        """cos(pi/2) is 6.1e-17 in doubles, so S is about 1e-32, not 0: the
+        S sum carries its relative digits where 1 - P would read 0."""
+        spec = penson_solomon_state(alpha, k, q)
+        setting = BeamSplitterSetting(math.pi / 2.0)
+        s = linear_entropy(truncate(spec, AdaptiveTruncation()), setting).linear_entropy
+        ref = float(oracle_entropy(spec, setting).linear_entropy)
+        assert 0.0 < ref < 1e-30
+        assert abs(s / ref - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("q, k, alpha, theta", [
+        (0.5, 1, 0.5, math.pi / 4.0), (0.5, 3, 1.0, 0.3), (0.8, 4, 0.0, 1e-3),
+        (0.8, 8, 0.4, 1.2), (1.0, 0, 2.0, math.pi / 2.0), (0.9, 6, 2.5, 0.05)])
+    def test_identity_matches_the_oracle(self, q, k, alpha, theta):
+        """identity_purity, the large-k reference below, shares its formula
+        with _closed_entropy; the oracle's Gram form shares none."""
+        spec = penson_solomon_state(alpha, k, q)
+        setting = BeamSplitterSetting(theta)
+        with mp.workprec(256):
+            gap = (identity_purity(k, _beta(spec) ** 2, theta, bits=256)
+                   - oracle_entropy(spec, setting).purity)
+        assert abs(gap) <= 1e-60
+
+    @pytest.mark.parametrize("k", [200, 1000])
+    def test_matches_the_identity_at_large_k(self, k):
+        """q = 1, where the Gram oracle takes minutes a point; x = 1e-3 at
+        small theta is where a double-precision walk erred most (4.1e-15 at
+        k = 1000)."""
+        for x in (0.0, 1e-4, 1e-3, 1.0, 4.0):
+            spec = penson_solomon_state(math.sqrt(x), k, 1.0)
+            series = truncate(spec, AdaptiveTruncation())
+            assert series.converged
+            for theta in (math.pi / 4.0, 0.3, 0.05):
+                s = linear_entropy(series, BeamSplitterSetting(theta)).linear_entropy
+                ref = 1 - identity_purity(k, _ratio_constant(spec), theta)
+                assert abs(s - float(ref)) <= 1e-15, (k, x, theta)
+
+    @pytest.mark.parametrize("k", [*range(9), 128, 1000])
     def test_fock_value_at_zero_alpha(self, k):
-        """1 - C(2k,k)/4^k at a 50:50 splitter; at k = _CLOSED_FORM_MAX_K the
-        factor sqrt(C(j+l, j)) reaches 4.9e18."""
+        """1 - C(2k,k)/4^k at a 50:50 splitter."""
         s = linear_entropy(series_for(0.0, k)).linear_entropy
-        assert abs(s - (1.0 - math.comb(2 * k, k) / 4.0 ** k)) <= 1e-15
+        assert abs(s - (1.0 - math.comb(2 * k, k) / 4 ** k)) <= 1e-15
 
     def test_builds_no_joint_matrix(self, monkeypatch):
         """At q=0.3, k=5, |alpha|=1 the dense D would be 172521."""
@@ -524,22 +550,22 @@ class TestGramPath:
             raise AssertionError("dense path called")
         monkeypatch.setattr(entangle, "split", refuse)
         monkeypatch.setattr(entangle, "reduced_purity", refuse)
-        for k in (0, 5, _CLOSED_FORM_MAX_K):
+        for k in (0, 5, 128, 129, 1000):
             series = truncate(penson_solomon_state(1.0, k, 0.3 if k == 5 else 1.0),
                               AdaptiveTruncation())
             assert 0.0 <= linear_entropy(series).linear_entropy < 1.0
 
-    def test_dense_path_for_unconverged_series_and_large_k(self):
+    def test_dense_path_for_unconverged_series(self):
         fixed = truncate(penson_solomon_state(3.0, 3, 0.5), FixedTruncation(n_max=100))
-        past = series_for(0.5, _CLOSED_FORM_MAX_K + 1, q=1.0)
-        assert not fixed.converged and past.converged
-        for series in (fixed, past):
-            result = linear_entropy(series, allow_unconverged=True)
-            assert result.purity == reduced_purity(split(series))
+        assert not fixed.converged
+        result = linear_entropy(fixed, allow_unconverged=True)
+        assert result.purity == reduced_purity(split(fixed))
 
+    @pytest.mark.parametrize("k", [128, 129])
     @pytest.mark.parametrize("alpha", [0.5, 5.0])
-    def test_both_paths_agree_at_the_crossover(self, alpha):
-        series = series_for(alpha, _CLOSED_FORM_MAX_K, q=1.0)
+    def test_both_paths_agree_at_the_crossover(self, alpha, k):
+        """The dense path's own error grows with k, to about 1e-11 by k = 136."""
+        series = series_for(alpha, k, q=1.0)
         assert abs(linear_entropy(series).linear_entropy - dense_entropy(series)) <= 1e-11
 
     @settings(max_examples=60, deadline=None)
@@ -552,7 +578,7 @@ class TestGramPath:
         assert abs(gram - max(dense_entropy(series, setting), 0.0)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(st.floats(0.5, 1.0), st.integers(0, _CLOSED_FORM_MAX_K),
+    @given(st.floats(0.5, 1.0), st.integers(0, 128),
            st.just(0.0) | st.floats(1e-8, 1e4), st.floats(1e-3, math.pi / 2.0))
     @example(1.0, 1, 0.0, math.pi / 4.0)  # |1> on a 50:50 splitter: S = 1/2 exactly
     def test_within_the_schmidt_rank_bound(self, q, k, x, theta):
@@ -564,8 +590,8 @@ class TestGramPath:
         assert 0.0 <= s <= k / (k + 1)
 
     @pytest.mark.parametrize("q, k, alpha, theta", GRAM_EXTREMES + [
-        (1.0, _CLOSED_FORM_MAX_K, 1400.0, 1e-300),         # x = 1.96e6: most c'_m and r^l underflow
-        (1.0, _CLOSED_FORM_MAX_K, 1e-160, math.pi / 4.0)])  # x = 1e-320: beta = 1e-160
+        (1.0, 128, 1400.0, 1e-300),         # x = 1.96e6 and sin^2(2 theta) underflows
+        (1.0, 128, 1e-160, math.pi / 4.0)])  # x = 1e-320, subnormal
     def test_no_runtime_warning_at_the_extremes(self, q, k, alpha, theta):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -573,50 +599,30 @@ class TestGramPath:
         assert 0.0 <= s < 1.0
 
     @pytest.mark.parametrize("q, k, alpha, theta", gram_grid())
-    def test_matches_the_reference_bitwise(self, q, k, alpha, theta):
-        assert_matches_the_references(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
+    def test_matches_the_gram_reference(self, q, k, alpha, theta):
+        assert_matches_the_gram_reference(penson_solomon_state(alpha, k, q),
+                                          BeamSplitterSetting(theta))
 
     @pytest.mark.parametrize("q, k, alpha, theta", GRAM_EXTREMES)
-    def test_matches_the_reference_bitwise_at_the_extremes(self, q, k, alpha, theta):
-        assert_matches_the_references(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
-
-    @pytest.mark.parametrize("k", [0, 1, _CLOSED_FORM_MAX_K])
-    @pytest.mark.parametrize("x, peak_at_k", [(0.0, True), (1e-300, True), (1e-12, True),
-                                              (2e6, False)])
-    @pytest.mark.parametrize("theta", [math.pi / 4.0, 1e-3])
-    def test_matches_the_reference_bitwise_at_the_end_peaks(self, k, x, peak_at_k, theta):
-        """The largest c'_m at m = k (beta = 0 or tiny: no upward products)
-        or at m = 0 (large beta: no downward products)."""
-        spec = penson_solomon_state(math.sqrt(x), k, 1.0)
-        down = math.sqrt(x) * entangle._displaced_factors(k)[1]
-        assert int(np.count_nonzero(down <= 1.0)) == (k if peak_at_k else 0)
-        setting = BeamSplitterSetting(theta)
-        assert entangle._displaced_purity(spec, setting) == reference_displaced_purity(spec, setting)
-
-    def test_new_theta_keeps_the_hankel_factors(self):
-        """A scan over theta reuses the Hankel factors, which depend on k
-        alone: at k = 128 a rebuild costs milliseconds, a point about 0.2 ms."""
-        spec = penson_solomon_state(1.5, 128, 0.9)
-        entangle._displaced_purity(spec, BeamSplitterSetting(0.5))
-        misses = entangle._displaced_factors.cache_info().misses
-        for theta in np.linspace(0.1, 1.5, 20):
-            entangle._displaced_purity(spec, BeamSplitterSetting(float(theta)))
-        assert entangle._displaced_factors.cache_info().misses == misses
+    def test_matches_the_gram_reference_at_the_extremes(self, q, k, alpha, theta):
+        assert_matches_the_gram_reference(penson_solomon_state(alpha, k, q),
+                                          BeamSplitterSetting(theta))
 
     @pytest.mark.parametrize("q, k, alpha, theta", [
         (0.5, 3, 2.0, 0.3), (1.0, 0, 1.5, math.pi / 4.0), (0.8, 8, 1.0, 1e-3),
         (0.95, 32, 2.5, math.pi / 2.0)])
-    def test_matches_the_reference_bitwise_through_doubling(self, monkeypatch, q, k, alpha, theta):
+    def test_matches_the_gram_reference_through_doubling(self, monkeypatch, q, k, alpha, theta):
         """The Fock-series reference reads _peak_width at call time, so it
         starts from a width of 1 and doubles its window until every column's
-        tail bound passes; the displaced purity still matches it."""
+        tail bound passes; the closed form still matches it."""
         monkeypatch.setitem(globals(), "_peak_width", lambda z2, n_peak, k: 1)
-        assert_matches_the_references(penson_solomon_state(alpha, k, q), BeamSplitterSetting(theta))
+        assert_matches_the_gram_reference(penson_solomon_state(alpha, k, q),
+                                          BeamSplitterSetting(theta))
 
     def test_largest_window_memory(self):
         """(0.9, 64, 1.6) at theta = 1e-3 needs the Fock-series reference's
-        largest window, 26000 rows by 65 columns; the displaced frame holds
-        only (k+1) x (k+1) arrays, and its call stays within 1 MiB."""
+        largest window, 26000 rows by 65 columns; the closed form's call
+        stays within 1 MiB."""
         series = series_for(1.6, 64, q=0.9)
         tracemalloc.start()
         try:
@@ -625,3 +631,16 @@ class TestGramPath:
         finally:
             tracemalloc.stop()
         assert peak <= 2 ** 20
+
+    def test_memory_is_two_doubles_per_added_photon(self):
+        """At k = 2e4 the closed form keeps k term ratios and k+1 terms in
+        arrays of doubles (about 320 KB); a list of k Python floats alone
+        would take about 640 KB."""
+        series = series_for(1.0, 20_000, q=1.0)
+        tracemalloc.start()
+        try:
+            linear_entropy(series, BeamSplitterSetting(0.3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 20_000

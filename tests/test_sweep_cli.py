@@ -381,16 +381,19 @@ class TestCliExitCodes:
         assert re.match(rf"fockseries: .*\b{name}\b", capsys.readouterr().err)
 
     def test_dimension_cap_exit_3(self, tmp_path, capsys):
-        code = main(["sweep", "--observable", "linear_entropy", "--k", "50000",
-                     "--out", str(tmp_path / "x.csv")])
+        """Only an unconverged series builds the D x D matrix: a cutoff of
+        9000 terms is short of the certificate at |alpha| = 1 with q = 0.3."""
+        code = main(["sweep", "--observable", "linear_entropy", "--q", "0.3", "--k", "5",
+                     "--policy", "fixed:9000", "--alpha-min", "1", "--alpha-max", "2",
+                     "--steps", "2", "--out", str(tmp_path / "x.csv")])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("fockseries: numeric failure: ")
-        assert "q=1.0" in err and "k=50000" in err and "|alpha|=0.0" in err and "D=50001" in err
+        assert "q=0.3" in err and "k=5" in err and "|alpha|=1.0" in err and "D=9006" in err
 
     def test_entropy_past_the_split_cap_exit_0(self, tmp_path):
         """At q=0.3, k=5 the dense path would need D = 9302 by |alpha| = 0.3
-        and 172521 at |alpha| = 1; converged series take the displaced frame."""
+        and 172521 at |alpha| = 1; converged series take the closed form."""
         out = tmp_path / "s.csv"
         assert main(["sweep", "--observable", "linear_entropy", "--q", "0.3", "--k", "5",
                      "--alpha-max", "1", "--steps", "11", "--out", str(out)]) == 0
@@ -496,22 +499,25 @@ class TestCliExitCodes:
         assert proc.returncode == 0, proc.stderr
 
     def test_closed_form_runs_load_no_numpy(self, tmp_path):
-        """The fig1 presets and an adaptive Q sweep with k <= 128 on the
-        default grid, which starts at |alpha| = 0, take every point from
-        scalar closed forms, so no process of theirs imports numpy."""
+        """The fig1 presets, an adaptive Q sweep with k <= 128 and an adaptive
+        S sweep on the default grid, which starts at |alpha| = 0, take every
+        point from scalar closed forms, so no process of theirs imports numpy."""
         src = Path(fockseries.__file__).resolve().parent.parent
         runs = [["preset", "--name", "fig1-left", "--out-dir", str(tmp_path / "left")],
                 ["preset", "--name", "fig1-right", "--out-dir", str(tmp_path / "right")],
                 ["sweep", "--observable", "mandel_q", "--q", "0.5", "--k", "3",
-                 "--out", str(tmp_path / "q.csv")]]
+                 "--out", str(tmp_path / "q.csv")],
+                ["sweep", "--observable", "linear_entropy", "--q", "0.5", "--k", "3",
+                 "--out", str(tmp_path / "s.csv")]]
         for argv in runs:
             code = ("import sys\nfrom fockseries.cli import main\n"
                     f"assert main({argv!r}) == 0\nassert 'numpy' not in sys.modules\n")
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                   env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
             assert proc.returncode == 0, (argv, proc.stderr)
-        _, rows = read_curve_csv(tmp_path / "q.csv")
-        assert (len(rows), rows[0]["alpha"]) == (201, "0.0")
+        for name in ("q.csv", "s.csv"):
+            _, rows = read_curve_csv(tmp_path / name)
+            assert (len(rows), rows[0]["alpha"]) == (201, "0.0")
 
     def test_default_grids_per_observable(self, tmp_path):
         """Unset flags take the library's defaults: 201 points on [0,5] for
