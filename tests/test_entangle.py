@@ -538,6 +538,20 @@ class TestGramPath:
                 ref = 1 - identity_purity(k, _ratio_constant(spec), theta)
                 assert abs(s - float(ref)) <= 1e-15, (k, x, theta)
 
+    @pytest.mark.parametrize("k", [0, 1, 128])
+    @pytest.mark.parametrize("x", [0.0, 1e-300, 1e-12, 1.96e6])
+    @pytest.mark.parametrize("theta", [math.pi / 4.0, 1e-3])
+    def test_matches_the_identity_at_the_end_peaks(self, k, x, theta):
+        """The ends of x: the Fock state |k>; x = 1e-300, whose 2x the 80-bit
+        walk rounds to 0; x = 1e-12, a walk step of a few units of 2^-80; and
+        x = 1.96e6, near truncate's hard cap, where 2x outweighs every g_n."""
+        spec = penson_solomon_state(math.sqrt(x), k, 1.0)
+        series = truncate(spec, AdaptiveTruncation())
+        assert series.converged
+        s = linear_entropy(series, BeamSplitterSetting(theta)).linear_entropy
+        ref = 1 - identity_purity(k, _ratio_constant(spec), theta)
+        assert abs(s - float(ref)) <= 1e-15
+
     @pytest.mark.parametrize("k", [*range(9), 128, 1000])
     def test_fock_value_at_zero_alpha(self, k):
         """1 - C(2k,k)/4^k at a 50:50 splitter."""
