@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
 from .errors import HardCapExceeded, InvalidParameter, UnnormalizedInput
 from .series import TruncatedSeries, _logsumexp, _point, _ratio_constant
-from .states import StateSpec
+from .states import StateSpec, _ReadOnly, _record
 
 # rounding slack on the unit-norm check, in units of eps * log_scale: each log
 # amplitude sums about eight roundings of terms up to log_scale in magnitude,
@@ -52,21 +51,19 @@ _BUILD_CELLS = 1 << 15  # cells per row block of split's build (256 KB)
 _WALK_BITS = 80  # fraction bits of _closed_entropy's fixed-point Laguerre walk
 
 
-@dataclass(frozen=True)
-class BeamSplitterSetting:
+class BeamSplitterSetting(_record("BeamSplitterSetting", "theta")):
     """Transmittance angle theta in (0, pi/2]; theta = pi/4 is the 50:50 splitter."""
 
-    theta: float = math.pi / 4.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        th = float(self.theta)
+    def __new__(cls, theta: float = math.pi / 4.0) -> BeamSplitterSetting:
+        th = float(theta)
         if not math.isfinite(th) or not (0.0 < th <= math.pi / 2.0):
-            raise InvalidParameter(f"theta must lie in (0, pi/2], got {self.theta}")
-        object.__setattr__(self, "theta", th)
+            raise InvalidParameter(f"theta must lie in (0, pi/2], got {theta}")
+        return tuple.__new__(cls, (th,))
 
 
-@dataclass(frozen=True, eq=False)
-class JointAmplitudes:
+class JointAmplitudes(_ReadOnly):
     """Joint Fock amplitudes A(j, l) of the two output modes.
 
     ``matrix[j, l]`` holds the amplitude for j transmitted and l reflected
@@ -76,18 +73,16 @@ class JointAmplitudes:
     unitary, so the squared entries sum to 1 within ``norm_tol``: ten times
     the source series' tail bound plus a rounding floor of 16 eps times the
     largest magnitude among the log terms summed into any amplitude (at
-    least 1).  ``spec`` is the source state, named in errors.
+    least 1).  ``spec`` is the source state, named in errors.  Attributes
+    are read-only and equality is identity, as for a TruncatedSeries.
     """
 
-    matrix: np.ndarray
-    norm_tol: float
-    spec: StateSpec
+    def __init__(self, matrix: np.ndarray, norm_tol: float, spec: StateSpec) -> None:
+        self.__dict__.update(matrix=matrix, norm_tol=norm_tol, spec=spec)
 
 
-@dataclass(frozen=True)
-class EntanglementResult:
-    purity: float
-    linear_entropy: float
+class EntanglementResult(_record("EntanglementResult", "purity linear_entropy")):
+    __slots__ = ()
 
 
 def split(series: TruncatedSeries,

@@ -27,25 +27,24 @@ modules, so any disagreement with them localizes the bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 
 from .entangle import BeamSplitterSetting, EntanglementResult
 from .errors import HardCapExceeded, InvalidParameter
 from .series import PhotonStatistics, _point
-from .states import StateSpec
+from .states import StateSpec, _record
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
+class PrecisionConfig(_record("PrecisionConfig", "mantissa_bits")):
     """mantissa_bits of working precision."""
 
-    mantissa_bits: int = 256
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.mantissa_bits, int) or self.mantissa_bits < 128:
-            raise InvalidParameter(f"mantissa_bits must be an integer >= 128, got {self.mantissa_bits!r}")
+    def __new__(cls, mantissa_bits: int = 256) -> PrecisionConfig:
+        if not isinstance(mantissa_bits, int) or mantissa_bits < 128:
+            raise InvalidParameter(f"mantissa_bits must be an integer >= 128, got {mantissa_bits!r}")
+        return tuple.__new__(cls, (mantissa_bits,))
 
 
 def _beta(spec: StateSpec) -> mp.mpf:

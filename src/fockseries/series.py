@@ -36,12 +36,11 @@ import math
 import sys
 from collections.abc import Iterator
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import count
 from numbers import Integral
 
 from .errors import HardCapExceeded, InvalidParameter
-from .states import DEFAULT_HARD_CAP, StateSpec
+from .states import DEFAULT_HARD_CAP, StateSpec, _ReadOnly, _record
 
 DEFAULT_REL_TOL = 1e-14
 # largest k whose adaptive certificate takes the closed-form sum (2-vCPU x86
@@ -53,38 +52,36 @@ _TABLE_CAP = 1 << 14  # columns of the index table of ln j and 2 ln j
 _table = None  # built on first use
 
 
-@dataclass(frozen=True)
-class AdaptiveTruncation:
+class AdaptiveTruncation(_record("AdaptiveTruncation", "rel_tol")):
     """Stop once the certified relative tail bound drops below rel_tol."""
 
-    rel_tol: float = DEFAULT_REL_TOL
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        tol = float(self.rel_tol)
+    def __new__(cls, rel_tol: float = DEFAULT_REL_TOL) -> AdaptiveTruncation:
+        tol = float(rel_tol)
         if not (0.0 < tol < 1.0):
-            raise InvalidParameter(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        object.__setattr__(self, "rel_tol", tol)
+            raise InvalidParameter(f"rel_tol must be in (0, 1), got {rel_tol}")
+        return tuple.__new__(cls, (tol,))
 
 
-@dataclass(frozen=True)
-class FixedTruncation:
+class FixedTruncation(_record("FixedTruncation", "n_max")):
     """Keep exactly n_max + 1 terms; converged only if the tail bound is <= rel_tol."""
 
-    n_max: int
+    __slots__ = ()
     rel_tol = DEFAULT_REL_TOL
 
-    def __post_init__(self) -> None:
-        if (not isinstance(self.n_max, int) or isinstance(self.n_max, bool)
-                or not 0 <= self.n_max <= DEFAULT_HARD_CAP):
+    def __new__(cls, n_max: int) -> FixedTruncation:
+        if (not isinstance(n_max, int) or isinstance(n_max, bool)
+                or not 0 <= n_max <= DEFAULT_HARD_CAP):
             raise InvalidParameter(
-                f"n_max must be an integer in [0, {DEFAULT_HARD_CAP}], got {self.n_max!r}")
+                f"n_max must be an integer in [0, {DEFAULT_HARD_CAP}], got {n_max!r}")
+        return tuple.__new__(cls, (n_max,))
 
 
 TruncationPolicy = AdaptiveTruncation | FixedTruncation
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedSeries:
+class TruncatedSeries(_ReadOnly):
     """ln(w_n/w_anchor) for n = 0..n_max, 0.0 at the largest retained term
     ``anchor`` (``log_weights`` adds ln w_anchor), and a certified relative
     tail bound.
@@ -94,13 +91,14 @@ class TruncatedSeries:
     cutoff with term ratio still >= 1).  ``converged`` is False whenever the
     bound fails the policy tolerance, and the sweep copies it into every row.
     An adaptive series with k <= 128 or at |alpha| = 0 builds its weights when read.
+    Attributes are read-only and equality is identity; a changed series is
+    built through the constructor.
     """
 
-    spec: StateSpec
-    rel_log_weights: np.ndarray
-    anchor: int
-    tail_bound_rel: float
-    converged: bool
+    def __init__(self, spec: StateSpec, rel_log_weights: np.ndarray, anchor: int,
+                 tail_bound_rel: float, converged: bool) -> None:
+        self.__dict__.update(spec=spec, rel_log_weights=rel_log_weights, anchor=anchor,
+                             tail_bound_rel=tail_bound_rel, converged=converged)
 
     def __getattr__(self, name: str):  # for attributes not set: the unbuilt weights
         if name != "rel_log_weights" or "_deferred" not in self.__dict__:
@@ -126,11 +124,10 @@ def _deferred_series(spec: StateSpec, bound: float, deferred: tuple) -> Truncate
     return series
 
 
-@dataclass(frozen=True)
-class PhotonStatistics:
-    mean_n: float
-    variance: float
-    mandel_q: float | None  # None for the vacuum (mean 0)
+class PhotonStatistics(_record("PhotonStatistics", "mean_n variance mandel_q")):
+    """Mean and variance of the photon number, and Mandel Q (None for the vacuum, mean 0)."""
+
+    __slots__ = ()
 
 
 def _logsumexp(a: np.ndarray) -> float:

@@ -1,15 +1,21 @@
-"""State parameters.
+"""State parameters, and the two kinds of value type the package declares.
 
 The states are photon-added nonlinear coherent states: a coherent amplitude
 of modulus |alpha|, k added photons, and the Penson-Solomon deformation
 f(n) = q^(1-n) with 0 < q <= 1; q = 1 recovers ordinary photon-added coherent
 states.  Every statistic depends on the amplitude only through its modulus,
 so the phase is not a parameter.
+
+Parameters and results are immutable named tuples (``_record``): they
+unpack, compare and hash by value, and validate in ``__new__``, which
+``_replace``, ``_make``, copies and unpickling run too.  Containers of
+arrays (``_ReadOnly``) set their attributes once, refuse later assignment
+and compare by identity.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidParameter
 
@@ -17,8 +23,26 @@ from .errors import InvalidParameter
 DEFAULT_HARD_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class StateSpec:
+def _record(name: str, fields: str) -> type:
+    """namedtuple base of a value type whose ``__new__`` validates: its
+    ``_make``, and so ``_replace``, builds through that ``__new__``."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class _ReadOnly:
+    """Attributes written once into ``__dict__``; assigning or deleting one
+    raises AttributeError, and instances compare by identity."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class StateSpec(_record("StateSpec", "alpha_abs k q")):
     """Parameters of one photon-added Penson-Solomon state.
 
     q = 0 is rejected (f diverges), and so is any q whose reciprocal
@@ -27,24 +51,19 @@ class StateSpec:
     the weights hold k as a float, which overflows past about 1e154.
     """
 
-    alpha_abs: float
-    k: int
-    q: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a = float(self.alpha_abs)
+    def __new__(cls, alpha_abs: float, k: int, q: float = 1.0) -> StateSpec:
+        a = float(alpha_abs)
         if not math.isfinite(a) or a < 0.0:
-            raise InvalidParameter(f"alpha_abs must be a finite nonnegative real, got {self.alpha_abs}")
-        if (not isinstance(self.k, int) or isinstance(self.k, bool)
-                or not 0 <= self.k <= DEFAULT_HARD_CAP):
+            raise InvalidParameter(f"alpha_abs must be a finite nonnegative real, got {alpha_abs}")
+        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= DEFAULT_HARD_CAP:
+            raise InvalidParameter(f"k must be an integer in [0, {DEFAULT_HARD_CAP}], got {k!r}")
+        qf = float(q)
+        if not (0.0 < qf <= 1.0) or not math.isfinite(1.0 / qf):
             raise InvalidParameter(
-                f"k must be an integer in [0, {DEFAULT_HARD_CAP}], got {self.k!r}")
-        q = float(self.q)
-        if not (0.0 < q <= 1.0) or not math.isfinite(1.0 / q):
-            raise InvalidParameter(
-                f"deformation parameter q must be in (0, 1] with 1/q finite, got {self.q}")
-        object.__setattr__(self, "alpha_abs", a)
-        object.__setattr__(self, "q", q)
+                f"deformation parameter q must be in (0, 1] with 1/q finite, got {q}")
+        return tuple.__new__(cls, (a, k, qf))
 
 
 def penson_solomon_state(alpha_abs: float, k: int, q: float) -> StateSpec:

@@ -10,11 +10,10 @@ byte-identical files.  Building the grid loads no numpy.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from types import MappingProxyType
 
 from ._version import __version__
 from .entangle import BeamSplitterSetting, linear_entropy
@@ -26,7 +25,7 @@ from .series import (
     photon_statistics,
     truncate,
 )
-from .states import penson_solomon_state
+from .states import _record, penson_solomon_state
 
 OBSERVABLES = ("mandel_q", "linear_entropy")
 
@@ -63,34 +62,28 @@ def policy_label(policy: TruncationPolicy) -> str:
     return f"fixed:{policy.n_max}"
 
 
-@dataclass(frozen=True)
-class SweepRequest:
+class SweepRequest(_record("SweepRequest", "observable q k output_path alpha_min alpha_max "
+                           "steps policy theta")):
     """One observable over an |alpha| grid, by default DEFAULT_GRID."""
 
-    observable: str
-    q: float
-    k: int
-    output_path: Path | str
-    alpha_min: float = DEFAULT_GRID[0]
-    alpha_max: float = DEFAULT_GRID[1]
-    steps: int = DEFAULT_GRID[2]
-    policy: TruncationPolicy = field(default_factory=AdaptiveTruncation)
-    theta: float = BeamSplitterSetting.theta
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.observable not in OBSERVABLES:
-            raise InvalidParameter(f"unknown observable {self.observable!r}")
-        for name in ("alpha_min", "alpha_max"):
-            bound = float(getattr(self, name))
+    def __new__(cls, observable: str, q: float, k: int, output_path: Path | str,
+                alpha_min: float = DEFAULT_GRID[0], alpha_max: float = DEFAULT_GRID[1],
+                steps: int = DEFAULT_GRID[2], policy: TruncationPolicy = AdaptiveTruncation(),
+                theta: float = BeamSplitterSetting().theta) -> SweepRequest:
+        if observable not in OBSERVABLES:
+            raise InvalidParameter(f"unknown observable {observable!r}")
+        bounds = float(alpha_min), float(alpha_max)
+        for name, bound in zip(("alpha_min", "alpha_max"), bounds):
             if not math.isfinite(bound):
                 raise InvalidParameter(f"{name} must be finite, got {bound!r}")
-            object.__setattr__(self, name, bound)
-        if not (0.0 <= self.alpha_min <= self.alpha_max):
+        if not (0.0 <= bounds[0] <= bounds[1]):
             raise InvalidParameter("need 0 <= alpha_min <= alpha_max")
-        if not isinstance(self.steps, int) or not 2 <= self.steps <= MAX_STEPS:
-            raise InvalidParameter(
-                f"steps must be an integer in [2, {MAX_STEPS}], got {self.steps!r}")
-        BeamSplitterSetting(self.theta)  # validates
+        if not isinstance(steps, int) or not 2 <= steps <= MAX_STEPS:
+            raise InvalidParameter(f"steps must be an integer in [2, {MAX_STEPS}], got {steps!r}")
+        BeamSplitterSetting(theta)  # validates
+        return tuple.__new__(cls, (observable, q, k, output_path, *bounds, steps, policy, theta))
 
 
 def _evaluate_point(req: SweepRequest, setting: BeamSplitterSetting, alpha: float) -> tuple:
@@ -134,7 +127,7 @@ def _evaluate(req: SweepRequest) -> list[tuple]:
             for alpha in _grid(req.alpha_min, req.alpha_max, req.steps)]
 
 
-def format_cell(value: Any) -> str:
+def format_cell(value: object) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -151,8 +144,8 @@ def _write_ascii(path: Path | str, text: str) -> Path:
 
 
 def write_curve_csv(path: Path | str,
-                    metadata: Mapping[str, Any],
-                    rows: Iterable[Sequence[Any]]) -> Path:
+                    metadata: Mapping[str, object],
+                    rows: Iterable[Sequence[object]]) -> Path:
     """One row per grid point in the SCALAR_COLUMNS shape."""
     lines = [f"# fockseries v{__version__}"]
     lines.extend(f"# {key}={format_cell(val)}" for key, val in metadata.items())
@@ -164,7 +157,8 @@ def write_curve_csv(path: Path | str,
     return _write_ascii(path, "\n".join(lines) + "\n")
 
 
-def write_manifest(path: Path | str, manifest: Mapping[str, Any]) -> Path:
+def write_manifest(path: Path | str, manifest: Mapping[str, object]) -> Path:
+    import json  # only presets write a manifest
     return _write_ascii(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -175,24 +169,19 @@ def run_sweep(req: SweepRequest) -> Path:
 
 # --- figure presets ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class PresetCurve:
-    filename: str
-    label: str
-    style: str
-    width: int
-    k: int
-    policy: TruncationPolicy
+class PresetCurve(_record("PresetCurve", "filename label style width k policy")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Preset:
-    """A Mandel Q figure: one curve per (k, policy) at a shared q."""
+class Preset(_record("Preset", "name q curves assumptions")):
+    """A Mandel Q figure: one curve per (k, policy) at a shared q.  ``assumptions``
+    is a read-only copy of the mapping given, recorded in the manifest."""
 
-    name: str
-    q: float
-    curves: tuple[PresetCurve, ...]
-    assumptions: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, name: str, q: float, curves: tuple[PresetCurve, ...],
+                assumptions: Mapping[str, str] = MappingProxyType({})) -> Preset:
+        return tuple.__new__(cls, (name, q, curves, MappingProxyType(dict(assumptions))))
 
 
 def _fig1(name: str, q: float, ks: tuple[int, int, int]) -> Preset:
@@ -263,7 +252,7 @@ def run_preset(name: str,
         "alpha_min": grid.alpha_min,
         "alpha_max": grid.alpha_max,
         "steps": grid.steps,
-        "assumptions": preset.assumptions,
+        "assumptions": dict(preset.assumptions),
         "curves": manifest_curves,
     }
     written.append(write_manifest(out_dir / "manifest.json", manifest))

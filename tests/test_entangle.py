@@ -1,5 +1,4 @@
 """Beam-splitter expansion, reduced purity, and linear entropy."""
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -16,6 +15,7 @@ from fockseries import (
     FixedTruncation,
     HardCapExceeded,
     InvalidParameter,
+    JointAmplitudes,
     UnnormalizedInput,
     linear_entropy,
     penson_solomon_state,
@@ -236,7 +236,7 @@ class TestReducedPurity:
 
     def test_unnormalized_input_rejected(self):
         amps = split(series_for(0.0, 1))
-        broken = dataclasses.replace(amps, matrix=amps.matrix * 1.5)
+        broken = JointAmplitudes(amps.matrix * 1.5, amps.norm_tol, amps.spec)
         match = r"^q=0.5, k=1, .alpha.=0.0: joint amplitudes have squared norm 2.25"
         with pytest.raises(UnnormalizedInput, match=match):
             reduced_purity(broken)
@@ -297,7 +297,8 @@ class TestReducedPurity:
         (rows of A versus columns of A), for unbalanced theta too."""
         for theta in (0.4, 0.9, 1.3):
             amps = split(series_for(1.3, 2), setting=BeamSplitterSetting(theta))
-            swapped = dataclasses.replace(amps, matrix=np.ascontiguousarray(amps.matrix.T))
+            swapped = JointAmplitudes(np.ascontiguousarray(amps.matrix.T), amps.norm_tol,
+                                      amps.spec)
             assert abs(reduced_purity(amps) - reduced_purity(swapped)) < 1e-12
 
 

@@ -1,5 +1,4 @@
 """Series weights, certified truncation, and photon statistics."""
-import dataclasses
 import math
 import os
 import subprocess
@@ -891,11 +890,12 @@ class TestClosedFormStatistics:
         k = 128 too; an unconverged one's NaNs reach its moments."""
         for k in (0, 5, _CLOSED_FORM_MAX_K, _CLOSED_FORM_MAX_K + 1):
             series = adaptive_series(1.0, k, 0.3 if k == 5 else 1.0)
-            blind = dataclasses.replace(
-                series, rel_log_weights=np.full_like(series.rel_log_weights, np.nan))
+            blind = TruncatedSeries(series.spec, np.full_like(series.rel_log_weights, np.nan),
+                                    series.anchor, series.tail_bound_rel, series.converged)
             assert photon_statistics(blind) == photon_statistics(series)
         fixed = truncate(penson_solomon_state(5.0, 3, 0.5), FixedTruncation(n_max=100))
-        blind = dataclasses.replace(fixed, rel_log_weights=np.full(101, np.nan))
+        blind = TruncatedSeries(fixed.spec, np.full(101, np.nan), fixed.anchor,
+                                fixed.tail_bound_rel, fixed.converged)
         assert not fixed.converged and math.isnan(photon_statistics(blind).mean_n)
 
     @settings(max_examples=200, deadline=None)
@@ -947,7 +947,7 @@ class TestClosedFormCertificate:
     @pytest.mark.parametrize("alpha, k, q", POINTS)
     def test_weights_built_on_first_read(self, alpha, k, q):
         """The sums the array path kept, log_weights on them, and
-        dataclasses.replace before and after the first read."""
+        a series rebuilt through the constructor before and after the first read."""
         spec = penson_solomon_state(alpha, k, q)
         c = _ratio_constant(spec)
         n_peak = _first_subunit_ratio_index(c, k)
@@ -958,9 +958,12 @@ class TestClosedFormCertificate:
         assert rel.tobytes() == want.tobytes() and got.anchor == n_peak
         assert got.rel_log_weights is rel and got.n_max == rel.size - 1
         assert got.log_weights.tobytes() == (want + log_weight(spec, n_peak)).tobytes()
-        shorter = dataclasses.replace(got, rel_log_weights=rel[:-1])
+        shorter = TruncatedSeries(got.spec, rel[:-1], got.anchor, got.tail_bound_rel,
+                                  got.converged)
         assert (shorter.n_max, shorter.tail_bound_rel) == (got.n_max - 1, got.tail_bound_rel)
-        unread = dataclasses.replace(truncate(spec, AdaptiveTruncation()), converged=False)
+        fresh = truncate(spec, AdaptiveTruncation())
+        unread = TruncatedSeries(fresh.spec, fresh.rel_log_weights, fresh.anchor,
+                                 fresh.tail_bound_rel, converged=False)
         assert unread.rel_log_weights.tobytes() == want.tobytes() and not unread.converged
 
     def test_peak_memory_where_the_series_is_longest(self):
