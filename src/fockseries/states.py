@@ -6,11 +6,9 @@ f(n) = q^(1-n) with 0 < q <= 1; q = 1 recovers ordinary photon-added coherent
 states.  Every statistic depends on the amplitude only through its modulus,
 so the phase is not a parameter.
 
-Parameters and results are immutable named tuples (``_record``): they
-unpack, compare and hash by value, and validate in ``__new__``, which
-``_replace``, ``_make``, copies and unpickling run too.  Containers of
-arrays (``_ReadOnly``) set their attributes once, refuse later assignment
-and compare by identity.
+Parameters and results are named tuples (``_record``) that validate in
+``__new__``, which ``_replace``, copies and unpickling run too; containers
+of arrays (``_ReadOnly``) are read-only and compare by identity.
 """
 from __future__ import annotations
 

@@ -183,6 +183,9 @@ class Preset(_record("Preset", "name q curves assumptions")):
                 assumptions: Mapping[str, str] = MappingProxyType({})) -> Preset:
         return tuple.__new__(cls, (name, q, curves, MappingProxyType(dict(assumptions))))
 
+    def __getnewargs__(self) -> tuple:  # a mappingproxy does not pickle
+        return (*self[:3], dict(self.assumptions))
+
 
 def _fig1(name: str, q: float, ks: tuple[int, int, int]) -> Preset:
     styles = ("dashed", "dotted", "solid")
