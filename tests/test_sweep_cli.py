@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -487,11 +488,12 @@ class TestCliExitCodes:
         assert all(r["converged"] == "false" and r["tail_bound_rel"] == "inf"
                    for r in rows[1:])
 
-    @pytest.mark.parametrize("module", ["mpmath", "scipy", "numpy"])
+    @pytest.mark.parametrize("module", ["mpmath", "scipy", "numpy", "dataclasses", "json"])
     def test_cli_does_not_load(self, module):
         """The oracle's mpmath is loaded only by fockseries.oracle, scipy (a
-        test-only reference) never, and numpy only where a point builds an
-        array."""
+        test-only reference) never, numpy only where a point builds an
+        array, dataclasses never (the value types are named tuples and plain
+        classes), and json only where a preset writes its manifest."""
         src = Path(fockseries.__file__).resolve().parent.parent
         code = f"import sys, fockseries.cli; assert {module!r} not in sys.modules"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -518,6 +520,20 @@ class TestCliExitCodes:
         for name in ("q.csv", "s.csv"):
             _, rows = read_curve_csv(tmp_path / name)
             assert (len(rows), rows[0]["alpha"]) == (201, "0.0")
+
+    def test_console_script_checks(self, tmp_path):
+        """tests/console_script.sh, the calls and pins CI runs against the
+        installed console script, pass against src/ through a wrapper."""
+        src = Path(fockseries.__file__).resolve().parent.parent
+        wrapper = tmp_path / "fockseries"
+        wrapper.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} -m fockseries.cli "$@"\n')
+        wrapper.chmod(0o755)
+        script = Path(__file__).with_name("console_script.sh")
+        proc = subprocess.run(["bash", str(script), str(wrapper), sys.executable],
+                              capture_output=True, text=True, timeout=600,
+                              env={**os.environ, "PYTHONPATH": str(src), "TMPDIR": str(tmp_path)})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "oracle at |alpha|=5" in proc.stdout
 
     def test_default_grids_per_observable(self, tmp_path):
         """Unset flags take the library's defaults: 201 points on [0,5] for
