@@ -23,18 +23,20 @@ so no large log is rounded before the ratios are taken; a series keeps these
 sums and a, and its log_weights add ln w_a when read.  Adaptive truncation
 stops once the bound is below the requested tolerance, keeping two terms at
 least; for k <= 128 from scalars, the whole sum being e^c k! L_k(-c) (the
-state is a†^k|beta>), and such a series builds its sums when read.  The
-index arrays ln(n+k+1) and 2 ln(n+1) are slices of one read-only table of
-rows ln j and 2 ln j, 2^14 columns (2 x 128 KB) built once on first use, so
-that its memory does not grow with k; a series past it computes them
-directly, to the same bits.  Only the functions that build an array (a fixed
-cutoff, k > 128, a weight read) import numpy; the closed forms run without.
+state is a†^k|beta>).  A fixed cutoff takes its bound from the same sum
+(k <= 128) or from one scalar pass over its terms, which also gives an
+unconverged series its moments.  Every series but an adaptive one past
+k = 128 builds its sums when read.  The index arrays ln(n+k+1) and
+2 ln(n+1) are slices of one read-only table of rows ln j and 2 ln j, 2^14
+columns (2 x 128 KB) built once on first use, so that its memory does not
+grow with k; a series past it computes them directly, to the same bits.
+Only what builds an array (adaptive k > 128, a weight read) imports numpy.
 """
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import suppress
 from itertools import count
 from numbers import Integral
@@ -90,7 +92,7 @@ class TruncatedSeries(_ReadOnly):
     to the retained sum; it is +inf when no geometric bound exists (fixed
     cutoff with term ratio still >= 1).  ``converged`` is False whenever the
     bound fails the policy tolerance, and the sweep copies it into every row.
-    An adaptive series with k <= 128 or at |alpha| = 0 builds its weights when read.
+    Every series but an adaptive one with k > 128 builds its weights when read.
     Attributes are read-only and equality is identity; a changed series is
     built through the constructor.
     """
@@ -116,11 +118,13 @@ class TruncatedSeries(_ReadOnly):
         return self.rel_log_weights + _log_weight(self.spec, self.anchor)
 
 
-def _deferred_series(spec: StateSpec, bound: float, deferred: tuple) -> TruncatedSeries:
-    """A converged series that builds rel_log_weights = _log_ratio_sums(*deferred) when read."""
+def _deferred_series(spec: StateSpec, bound: float, converged: bool,
+                     deferred: tuple) -> TruncatedSeries:
+    """A series, converged or not, that builds rel_log_weights =
+    _log_ratio_sums(*deferred) when read: (k, ln c, anchor, n_max + 1)."""
     series = object.__new__(TruncatedSeries)
-    series.__dict__.update(spec=spec, anchor=deferred[2], tail_bound_rel=bound, converged=True,
-                           _deferred=deferred)
+    series.__dict__.update(spec=spec, anchor=deferred[2], tail_bound_rel=bound,
+                           converged=converged, _deferred=deferred)
     return series
 
 
@@ -215,7 +219,7 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
     sum (valid since the ratio decreases monotonically); k <= 128 builds the
     weights only when read.  Raises HardCapExceeded if the cap is passed first.
 
-    Fixed: store exactly n_max + 1 weights; the series counts as converged
+    Fixed: keep exactly n_max + 1 terms; the series counts as converged
     only if the same certified bound happens to hold at n_max against
     policy.rel_tol, otherwise the tail bound is reported as +inf (ratio
     still >= 1) or as the failing finite bound.
@@ -224,7 +228,7 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
         raise InvalidParameter("spec must be a StateSpec")
     if spec.alpha_abs == 0.0:
         # every n >= 1 weight is exactly zero: one term, ln(w_0/w_0) = 0.0, no tail
-        return _deferred_series(spec, 0.0, (spec.k, 0.0, 0, 1))
+        return _deferred_series(spec, 0.0, True, (spec.k, 0.0, 0, 1))
     c = _ratio_constant(spec)
     # the log form, whose two terms can cancel, only where c is not a normal double
     ln_c = (math.log(c) if sys.float_info.min <= c < math.inf
@@ -296,7 +300,7 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
     if k <= _CLOSED_FORM_MAX_K:
         n_max, bound = _closed_form_stop(k, ln_c, c, n_peak, first, width, policy.rel_tol)
         if n_max <= DEFAULT_HARD_CAP:
-            return _deferred_series(spec, bound, (k, ln_c, n_peak, n_max + 1))
+            return _deferred_series(spec, bound, True, (k, ln_c, n_peak, n_max + 1))
     else:
         import numpy as np
         while True:
@@ -328,23 +332,39 @@ def _laguerre_walk(y: float, n: int) -> Iterator[float]:
         g = p * (y + g) / (y + p + g)
 
 
-def _closed_form_stop(k: int, ln_c: float, c: float, n_peak: int, lo: int, width: int,
-                      rel_tol: float) -> tuple[int, float]:
-    """(n, bound) at the first n >= lo whose bound passes rel_tol (past the cap
-    if none does), from t_n/t_peak by math.lgamma and the whole sum Z = e^c N_k:
-    as the retained sum Z - tail_n is at most Z, the bound against Z passes
-    first; the doubling window and Newton steps find that n, and from there
-    each n sums its tail from its terms until what is left is below eps Z."""
-    def probe(n: int) -> tuple[float, float, float]:  # t_n, r_n and the bound against Z
-        t = math.exp(n * ln_c + math.lgamma(n + k + 1) - 2.0 * math.lgamma(n + 1) - ln_peak)
-        return t, (r := _ratio(c, k, n)), _tail_bound(t, r, total)
-
+def _peak_units(k: int, ln_c: float, c: float, n_peak: int) -> tuple[Callable, float]:
+    """t(n) = w_n/w_peak by math.lgamma, and the whole sum Z = e^c N_k in those units."""
     ln_peak = n_peak * ln_c + math.lgamma(n_peak + k + 1) - 2.0 * math.lgamma(n_peak + 1)
     ln_n = 0.0  # ln N_k, summed left to right (sum compensates from Python 3.12)
     for p, g in enumerate(_laguerre_walk(c, k), 1):
         ln_n += math.log(c + p + g)
-    total = math.exp(c + ln_n - ln_peak)
+    return (lambda n: math.exp(n * ln_c + math.lgamma(n + k + 1) - 2.0 * math.lgamma(n + 1)
+                               - ln_peak)), math.exp(c + ln_n - ln_peak)
+
+
+def _closed_form_bound(t: float, r: float, total: float, c: float, k: int, n: int) -> float:
+    """The bound at n (t = t_n, r = r_n) against Z less the tail past n, summed
+    from its terms until what it leaves is below eps Z."""
     eps_z = sys.float_info.epsilon * total
+    tail, t_m, r_m, m = 0.0, t, r, n
+    while t_m * r_m > eps_z * (1.0 - r_m):  # what the tail leaves is not negligible
+        t_m, m = t_m * r_m, m + 1
+        r_m = _ratio(c, k, m)
+        tail += t_m
+    return _tail_bound(t, r, total - tail)
+
+
+def _closed_form_stop(k: int, ln_c: float, c: float, n_peak: int, lo: int, width: int,
+                      rel_tol: float) -> tuple[int, float]:
+    """(n, bound) at the first n >= lo whose bound passes rel_tol (past the cap
+    if none does), from _peak_units: as the retained sum Z - tail_n is at most
+    Z, the bound against Z passes first; the doubling window and Newton steps
+    find that n, and from there each n takes _closed_form_bound."""
+    def probe(n: int) -> tuple[float, float, float]:  # t_n, r_n and the bound against Z
+        t = term(n)
+        return t, (r := _ratio(c, k, n)), _tail_bound(t, r, total)
+
+    term, total = _peak_units(k, ln_c, c, n_peak)
     t, r, b = probe(hi := min(n_peak + width, DEFAULT_HARD_CAP))
     while b > rel_tol:
         if hi == DEFAULT_HARD_CAP:
@@ -365,31 +385,55 @@ def _closed_form_stop(k: int, ln_c: float, c: float, n_peak: int, lo: int, width
                 break
     for n in count(lo):
         t_n, r_n, b_n = (t, r, b) if n == hi else probe(n)
-        if b_n <= rel_tol:
-            tail, t_m, r_m, m = 0.0, t_n, r_n, n
-            while t_m * r_m > eps_z * (1.0 - r_m):  # what the tail leaves is not negligible
-                t_m, m = t_m * r_m, m + 1
-                r_m = _ratio(c, k, m)
-                tail += t_m
-            bound = _tail_bound(t_n, r_n, total - tail)
-            if bound <= rel_tol:
-                return n, bound
+        if b_n <= rel_tol and (bound := _closed_form_bound(t_n, r_n, total, c, k, n)) <= rel_tol:
+            return n, bound
 
 
 def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,
                     ln_c: float, c: float) -> TruncatedSeries:
-    import numpy as np
-    n_max = policy.n_max
-    r = _ratio(c, spec.k, n_max)
-    # anchored at the largest retained term: the peak, or n_max before it
-    anchor = n_max if r >= 1.0 else _first_subunit_ratio_index(c, spec.k)
-    rel = _log_ratio_sums(spec.k, ln_c, anchor, n_max + 1)
-    bound = math.inf  # no geometric bound while r >= 1; the neglected tail may dominate
+    n_max, k = policy.n_max, spec.k
+    r = _ratio(c, k, n_max)
+    # the largest retained term: n_max while r >= 1 (no geometric bound), else the peak
+    anchor, bound = n_max, math.inf
     if r < 1.0:
-        e = np.exp(rel)
-        bound = float(_tail_bound(e[-1], r, e.sum()))
-    return TruncatedSeries(spec, rel, anchor, tail_bound_rel=bound,
-                           converged=bound <= policy.rel_tol)
+        anchor = _first_subunit_ratio_index(c, k)
+        if k <= _CLOSED_FORM_MAX_K:
+            term, total = _peak_units(k, ln_c, c, anchor)
+            bound = _closed_form_bound(term(n_max), r, total, c, k, n_max)
+        else:
+            t = 1.0
+            for n in range(anchor, n_max):  # t_(n_max), or 0 once it underflows
+                if not (t := t * _ratio(c, k, n)):
+                    break
+            bound = _tail_bound(t, r, _retained_sums(c, k, anchor, n_max)[0])
+    return _deferred_series(spec, bound, bound <= policy.rel_tol, (k, ln_c, anchor, n_max + 1))
+
+
+def _retained_sums(c: float, k: int, anchor: int, n_max: int) -> tuple[float, float, float]:
+    """Sums of t_n, t_n d and t_n d^2 over n <= n_max, t_n = w_n/w_anchor and
+    d = n - anchor, outward from the anchor, each t from its neighbour's by
+    _ratio's formula.  At every 8th d a side stops if the geometric bound on
+    its t d^2 tail (ratio at most r (1 + 1/|d|)^2, 1/r leftward) is below eps s2."""
+    eps = sys.float_info.epsilon
+    s0, s1, s2, t = 1.0, 0.0, 0.0, 1.0
+    for m in range(anchor + 1, n_max + 1):  # t_m = t_(m-1) r_(m-1)
+        t *= (r := c * (m + k) / (m * m))
+        d = m - anchor
+        s0 += t
+        s1 += (td := t * d)
+        s2 += (td2 := td * d)
+        if not d & 7 and td2 * (rho := r * ((d + 1) / d) ** 2) <= eps * s2 * (1.0 - rho):
+            break
+    t = 1.0
+    for m in range(anchor, 0, -1):  # t_(m-1) = t_m / r_(m-1)
+        t /= (r := c * (m + k) / (m * m))
+        d = anchor + 1 - m
+        s0 += t
+        s1 -= (td := t * d)
+        s2 += (td2 := td * d)
+        if not d & 7 and td2 * (rho := ((d + 1) / d) ** 2 / r) <= eps * s2 * (1.0 - rho):
+            break
+    return s0, s1, s2
 
 
 def normalization_log(series: TruncatedSeries) -> float:
@@ -411,17 +455,12 @@ def photon_distribution(series: TruncatedSeries) -> list[tuple[int, float]]:
 
 
 def _retained_statistics(series: TruncatedSeries) -> PhotonStatistics:
-    """Moments of the retained distribution, in two passes: the mean, then
-    the centered variance sum w_n (n+k-mu)^2 / sum w_n, which avoids the
-    cancellation of <n^2> - <n>^2 when the mean is large."""
-    import numpy as np
-    z = np.exp(series.rel_log_weights)
-    ns = np.arange(z.size, dtype=np.float64) + series.spec.k
-    total = np.add.reduce(z)
-    mean = float(np.add.reduce(z * ns) / total)
-    ns -= mean
-    ns *= ns
-    variance = float(np.add.reduce(z * ns) / total)
+    """Moments of the retained distribution from _retained_sums, which reads
+    no weight, centred at the anchor so that a large mean does not cancel."""
+    k, anchor = series.spec.k, series.anchor
+    s0, s1, s2 = _retained_sums(_ratio_constant(series.spec), k, anchor, series.n_max)
+    mean = anchor + k + (shift := s1 / s0)
+    variance = s2 / s0 - shift * shift
     return PhotonStatistics(mean_n=mean, variance=variance,
                             mandel_q=variance / mean - 1.0 if mean else None)
 
@@ -440,10 +479,10 @@ def _closed_statistics(spec: StateSpec) -> PhotonStatistics:
 
 
 def photon_statistics(series: TruncatedSeries) -> PhotonStatistics:
-    """Mean, variance, and Mandel Q (None for the vacuum, whose mean is 0):
-    a converged series gives the untruncated state's, in closed form and
-    reading no log-weight (k = 0 gives Q = 0 exactly); an unconverged one
-    those of the retained distribution."""
+    """Mean, variance, and Mandel Q (None for the vacuum, whose mean is 0),
+    reading no log-weight: a converged series gives the untruncated state's,
+    in closed form (k = 0 gives Q = 0 exactly); an unconverged one those of
+    the retained distribution, from its spec, anchor and n_max."""
     if series.converged:
         return _closed_statistics(series.spec)
     return _retained_statistics(series)

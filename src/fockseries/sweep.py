@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from pathlib import Path
 from types import MappingProxyType
 
 from ._version import __version__
@@ -138,6 +137,7 @@ def format_cell(value: object) -> str:
 
 
 def _write_ascii(path: Path | str, text: str) -> Path:
+    from pathlib import Path  # only writing needs it, not the import of the CLI
     path = Path(path)
     path.write_text(text, encoding="ascii", newline="\n")
     return path
@@ -225,6 +225,7 @@ def run_preset(name: str,
     and ``plot.gp``, a gnuplot script drawing the curves.  Every curve is
     evaluated before anything touches the disk, so a failing point leaves
     the output directory as it was."""
+    from pathlib import Path
     if name not in PRESETS:
         raise InvalidParameter(f"unknown preset {name!r} (have {', '.join(sorted(PRESETS))})")
     preset = PRESETS[name]

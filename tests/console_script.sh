@@ -39,6 +39,13 @@ sys.exit(fockseries.cli.main(['preset', '--name', 'fig1-left', '--steps', '3', '
 import sys
 sys.modules['numpy'] = None  # any import of numpy now fails
 import fockseries.cli
+sys.exit(fockseries.cli.main(['preset', '--name', 'fig2', '--steps', '3', '--out-dir', sys.argv[1]]))
+" "$work/rfig2-no-numpy"
+test "$(ls "$work/rfig2-no-numpy" | wc -l)" -eq 7
+"$python" -c "
+import sys
+sys.modules['numpy'] = None  # any import of numpy now fails
+import fockseries.cli
 sys.exit(fockseries.cli.main(['sweep', '--observable', 'linear_entropy', '--q', '0.5', '--k', '3', '--out', sys.argv[1]]))
 " "$work/rs-no-numpy.csv"
 "$fockseries" sweep --observable mandel_q --steps 3 --out "$work/rq.csv"

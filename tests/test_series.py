@@ -375,10 +375,13 @@ def direct_log_ratio_sums(k, ln_c, anchor, size):
 
 
 def direct_truncate(spec, policy):
-    """truncate with its log-ratio kernel computing its index arrays directly."""
+    """truncate with its log-ratio kernel computing its index arrays directly,
+    its weights read before the kernel is restored."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "_log_ratio_sums", direct_log_ratio_sums)
-        return truncate(spec, policy)
+        got = truncate(spec, policy)
+        got.rel_log_weights
+        return got
 
 
 def assert_same_bits(spec, policy):
@@ -466,12 +469,14 @@ class TestIndexTable:
             assert_same_bits(spec, FixedTruncation(n_max=n_max))
 
     def test_retained_size(self, empty_table):
-        """Not built at import; built once on first use, the rows ln j and
-        2 ln j, _TABLE_CAP wide and read-only, and kept through calls within
-        and past the cap."""
+        """Not built at import nor by a fixed cutoff's truncate; built once on
+        the first weight read, the rows ln j and 2 ln j, _TABLE_CAP wide and
+        read-only, and kept through reads within and past the cap."""
         assert fresh_process_stdout("import fockseries, fockseries.cli, fockseries.series as s\n"
                                     "print(s._table is None)\n") == "True\n"
-        truncate(penson_solomon_state(2.75, 3, 0.5), FixedTruncation(n_max=700))
+        fixed = truncate(penson_solomon_state(2.75, 3, 0.5), FixedTruncation(n_max=700))
+        assert series._table is None
+        fixed.rel_log_weights
         table = series._table
         ln_j = np.log(np.arange(1.0, series._TABLE_CAP + 1))
         assert table.tobytes() == np.stack((ln_j, 2.0 * ln_j)).tobytes()
@@ -479,7 +484,7 @@ class TestIndexTable:
         with pytest.raises(ValueError):
             series._index_row(1, 0, 10)[0] = 0.0
         for spec, n_max in [((300.0, 0, 1.0), 100_000), ((0.5, 3, 0.5), 100)]:
-            truncate(penson_solomon_state(*spec), FixedTruncation(n_max=n_max))
+            truncate(penson_solomon_state(*spec), FixedTruncation(n_max=n_max)).rel_log_weights
         truncate(penson_solomon_state(1e-3, 2_000_000, 1.0), AdaptiveTruncation())
         assert series._table is table
 
@@ -705,23 +710,100 @@ class TestPhotonDistribution:
             assert 1.0 - 2.0 * series.tail_bound_rel <= total <= 1.0 + 2.0 * series.tail_bound_rel
 
 
-def reference_retained_moments(series):
-    """_retained_statistics' mean and variance through the ndarray methods,
-    in fresh arrays: it must equal them bit for bit."""
-    z = np.exp(series.rel_log_weights)
-    ns = np.arange(z.size, dtype=np.float64) + series.spec.k
-    total = z.sum()
-    mean = float((z * ns).sum() / total)
-    return mean, float((z * (ns - mean) ** 2).sum() / total)
+def reference_retained_moments(spec, anchor, n_max, bits=160):
+    """Mean and variance of the retained distribution in mpmath at ``bits``:
+    t_n = w_n/w_anchor for n <= n_max, from the ratios c (n+k+1)/(n+1)^2 of
+    the same double c, outward from the anchor until a side's next t d^2 is
+    below 2^-(bits+20) of the d^2 sum (the terms fall away from the largest)."""
+    k = spec.k
+    with mp.workprec(bits):
+        c, tiny = mp.mpf(_ratio_constant(spec)), mp.mpf(2) ** (-bits - 20)
+        s0, s1, s2 = mp.mpf(1), mp.mpf(0), mp.mpf(0)
+        for step, ns in ((1, range(anchor + 1, n_max + 1)), (-1, range(anchor - 1, -1, -1))):
+            t = mp.mpf(1)
+            for n in ns:
+                m = n + (step < 0)  # w_m/w_(m-1) links n to the neighbour it comes from
+                t = t * (c * (m + k) / m ** 2) ** step
+                d = n - anchor
+                s0, s1, s2 = s0 + t, s1 + t * d, s2 + t * d * d
+                if t * (abs(d) + 1) ** 2 < tiny * s2:
+                    break
+        shift = s1 / s0
+        return anchor + k + shift, s2 / s0 - shift ** 2
+
+
+def assert_retained_moments(series_, mean_tol, variance_tol):
+    mean, variance = reference_retained_moments(series_.spec, series_.anchor, series_.n_max)
+    got = _retained_statistics(series_)
+    point = f"{_point(series_.spec)}, n_max={series_.n_max}"
+    assert abs(got.mean_n - mean) <= mean_tol * mean, point
+    assert abs(got.variance - variance) <= variance_tol * variance, point
+    if mean:
+        assert got.mandel_q == got.variance / got.mean_n - 1.0
+    else:
+        assert got.mandel_q is None and got.mean_n == 0.0
+
+
+class TestRetainedMoments:
+    """Unconverged series take their moments from one scalar pass over
+    t_n = w_n/w_anchor outward from the anchor, reading no weight; they are
+    held to the same sums in mpmath from the same double c."""
+
+    def test_match_mpmath_on_a_seeded_grid(self):
+        """index_table_grid's fixed cutoffs, k up to 2e6 and x up to 2e6.
+        Over 378 of them (three seeds) the pass's worst relative errors were
+        3.0e-16 on the mean and 1.5e-15 on the variance; the array moments
+        it replaced missed the variance by up to 1.3e-14."""
+        for spec, policy in index_table_grid(size=100, seed=29):
+            if isinstance(policy, FixedTruncation):
+                assert_retained_moments(truncate(spec, policy), 1e-15, 4e-15)
+
+    @pytest.mark.parametrize("alpha, k, q, n_max", [
+        (0.5, 3, 0.5, 0), (0.5, 3, 0.5, 1), (5.0, 3, 0.5, 0), (5.0, 3, 0.5, 1),  # fixed:0, fixed:1
+        (1e-160, 0, 1.0, 5), (1e-160, 2, 1.0, 1),  # c = 1e-320, subnormal
+        (2.0, 1, 1e-150, 3),  # c = 4e300, the terms below n_max near underflow
+        (2.0, 200, 1.0, 20), (2.0, 200, 1.0, 45), (0.05, 20_000, 1.0, 10),  # k > 128
+        (130.0, 0, 1.0, 16_400), (130.0, 0, 1.0, 17_000),  # past _TABLE_CAP
+    ])
+    def test_edge_cases_match_mpmath(self, alpha, k, q, n_max):
+        got = truncate(penson_solomon_state(alpha, k, q), FixedTruncation(n_max=n_max))
+        assert_retained_moments(got, 1e-15, 4e-15)
+
+    def test_cutoff_just_past_the_peak_at_x_2e6(self):
+        """About 1.3e4 terms each side of the peak, each from its neighbour:
+        the products' rounding leaves the variance 2.3e-14 off (the array
+        moments missed by 6.9e-13 here)."""
+        got = truncate(penson_solomon_state(1414.0, 0, 1.0), FixedTruncation(n_max=1_999_500))
+        assert got.anchor == 1_999_396 and not got.converged
+        assert_retained_moments(got, 1e-15, 1e-13)
+
+    def test_infinite_ratio_constant_keeps_the_last_term(self):
+        """c = 4e800 overflows: every retained weight but w_(n_max) is 0 next
+        to it, so the retained state is the Fock state n_max + k."""
+        spec = penson_solomon_state(2.0, 2, 1e-200)
+        got = truncate(spec, FixedTruncation(n_max=10))
+        assert _ratio_constant(spec) == math.inf
+        assert (got.anchor, got.tail_bound_rel, got.converged) == (10, math.inf, False)
+        assert photon_statistics(got) == (12.0, 0.0, -1.0)
+
+    def test_bound_and_verdict_match_the_array_bound(self):
+        """The bound of a fixed cutoff, from the closed-form sum at k <= 128
+        and from the pass past it, against w_(n_max) r/(1 - r) over the sum
+        of the exponentiated weights (1.0e-12 apart at most over three seeds'
+        fixed cutoffs); the converged verdict is the same at every point."""
+        for spec, policy in index_table_grid(size=100, seed=29):
+            if not isinstance(policy, FixedTruncation):
+                continue
+            got = truncate(spec, policy)
+            r = term_ratio(spec, policy.n_max)
+            e = np.exp(got.rel_log_weights)
+            want = math.inf if r >= 1.0 else float(e[-1] * r / (1.0 - r) / e.sum())
+            assert got.converged == (want <= policy.rel_tol), _point(spec)
+            assert math.isclose(got.tail_bound_rel, want, rel_tol=4e-12, abs_tol=1e-290), \
+                _point(spec)
 
 
 class TestPhotonStatistics:
-    def test_retained_moments_match_the_reference_bitwise(self):
-        for spec, policy in index_table_grid(size=100, seed=29):
-            series = truncate(spec, policy)
-            got = _retained_statistics(series)
-            assert (got.mean_n, got.variance) == reference_retained_moments(series), _point(spec)
-
     def test_fock_point_is_maximally_sub_poissonian(self):
         """Q = -1 exactly for the single-point distribution at |alpha| = 0."""
         for k in (1, 2, 5):
@@ -887,16 +969,19 @@ class TestClosedFormStatistics:
 
     def test_reads_no_log_weights(self):
         """Converged series give the same moments from NaN log-weights, past
-        k = 128 too; an unconverged one's NaNs reach its moments."""
+        k = 128 too; so do unconverged ones, whose moments come from their
+        spec, anchor and n_max."""
         for k in (0, 5, _CLOSED_FORM_MAX_K, _CLOSED_FORM_MAX_K + 1):
             series = adaptive_series(1.0, k, 0.3 if k == 5 else 1.0)
             blind = TruncatedSeries(series.spec, np.full_like(series.rel_log_weights, np.nan),
                                     series.anchor, series.tail_bound_rel, series.converged)
             assert photon_statistics(blind) == photon_statistics(series)
-        fixed = truncate(penson_solomon_state(5.0, 3, 0.5), FixedTruncation(n_max=100))
-        blind = TruncatedSeries(fixed.spec, np.full(101, np.nan), fixed.anchor,
-                                fixed.tail_bound_rel, fixed.converged)
-        assert not fixed.converged and math.isnan(photon_statistics(blind).mean_n)
+        for alpha, n_max in [(5.0, 100), (3.0, 700)]:  # anchored at n_max, and at the peak
+            fixed = truncate(penson_solomon_state(alpha, 3, 0.5), FixedTruncation(n_max=n_max))
+            blind = TruncatedSeries(fixed.spec, np.full(n_max + 1, np.nan), fixed.anchor,
+                                    fixed.tail_bound_rel, fixed.converged)
+            assert not fixed.converged and "rel_log_weights" not in vars(fixed)
+            assert photon_statistics(blind) == photon_statistics(fixed)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.01, 1.0), st.integers(0, _CLOSED_FORM_MAX_K), st.floats(0.0, 2e6))

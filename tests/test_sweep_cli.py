@@ -143,13 +143,16 @@ class TestRunSweep:
             assert row["converged"] == "false"
             assert row["tail_bound_rel"] == "inf"
             assert row["n_max_used"] == "100"
+        # exactly 1/(80 * 80! * sum_(n<=80) 1/n!) = 6.42521713092007848e-122: the
+        # sum e less its tail and 1/80! from lgamma read 1.5e-14 high (the
+        # exponentiated weights read 4.2e-14 low)
         req = small_sweep(tmp_path, q=1.0, k=0, alpha_min=1.0, alpha_max=1.0,
                           steps=2, policy=FixedTruncation(n_max=80))
         meta, rows = read_curve_csv(run_sweep(req))
         assert meta["tol"] == "1e-14"
         for row in rows:
             assert [row["n_max_used"], row["tail_bound_rel"], row["converged"]] == [
-                "80", "6.425217130919811e-122", "true"]
+                "80", "6.425217130920178e-122", "true"]
 
     def test_determinism_byte_identical(self, tmp_path):
         req1 = small_sweep(tmp_path, q=0.7, k=2, output_path=tmp_path / "a.csv")
@@ -486,7 +489,7 @@ class TestCliExitCodes:
         _, rows = read_curve_csv(out)
         assert len(rows) == 201
         assert all(r["converged"] == "false" and r["tail_bound_rel"] == "inf"
-                   for r in rows[1:])
+                   and r["value"] == "-1.0" for r in rows[1:])
 
     @pytest.mark.parametrize("module", ["mpmath", "scipy", "numpy", "dataclasses", "json"])
     def test_cli_does_not_load(self, module):
@@ -500,15 +503,30 @@ class TestCliExitCodes:
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_cli_does_not_load_pathlib(self):
+        """Only writing a file imports pathlib.  Under -S, as site can import
+        it first (a .pth file may)."""
+        src = Path(fockseries.__file__).resolve().parent.parent
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import fockseries.cli; "
+                "assert 'pathlib' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_closed_form_runs_load_no_numpy(self, tmp_path):
-        """The fig1 presets, an adaptive Q sweep with k <= 128 and an adaptive
-        S sweep on the default grid, which starts at |alpha| = 0, take every
-        point from scalar closed forms, so no process of theirs imports numpy."""
+        """The three presets, an adaptive Q sweep with k <= 128, a fixed:700
+        Q sweep and an adaptive S sweep on the default grid, which starts at
+        |alpha| = 0, take every point from scalars (closed forms, and one pass
+        over an unconverged cutoff's terms), so no process of theirs imports
+        numpy."""
         src = Path(fockseries.__file__).resolve().parent.parent
         runs = [["preset", "--name", "fig1-left", "--out-dir", str(tmp_path / "left")],
                 ["preset", "--name", "fig1-right", "--out-dir", str(tmp_path / "right")],
+                ["preset", "--name", "fig2", "--out-dir", str(tmp_path / "fig2")],
                 ["sweep", "--observable", "mandel_q", "--q", "0.5", "--k", "3",
                  "--out", str(tmp_path / "q.csv")],
+                ["sweep", "--observable", "mandel_q", "--q", "0.5", "--k", "3",
+                 "--policy", "fixed:700", "--out", str(tmp_path / "q700.csv")],
                 ["sweep", "--observable", "linear_entropy", "--q", "0.5", "--k", "3",
                  "--out", str(tmp_path / "s.csv")]]
         for argv in runs:
@@ -517,9 +535,10 @@ class TestCliExitCodes:
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                   env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
             assert proc.returncode == 0, (argv, proc.stderr)
-        for name in ("q.csv", "s.csv"):
+        for name in ("q.csv", "q700.csv", "s.csv"):
             _, rows = read_curve_csv(tmp_path / name)
             assert (len(rows), rows[0]["alpha"]) == (201, "0.0")
+        assert len(list((tmp_path / "fig2").iterdir())) == 7
 
     def test_console_script_checks(self, tmp_path):
         """tests/console_script.sh, the calls and pins CI runs against the
