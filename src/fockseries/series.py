@@ -22,15 +22,12 @@ log-ratios ln c + ln(n+k+1) - 2 ln(n+1), outward from a in both directions,
 so no large log is rounded before the ratios are taken; a series keeps these
 sums and a, and its log_weights add ln w_a when read.  Adaptive truncation
 stops once the bound is below the requested tolerance, keeping two terms at
-least; for k <= 128 from scalars, the whole sum being e^c k! L_k(-c) (the
-state is a†^k|beta>).  A fixed cutoff takes its bound from the same sum
-(k <= 128) or from one scalar pass over its terms, which also gives an
-unconverged series its moments.  Every series but an adaptive one past
-k = 128 builds its sums when read.  The index arrays ln(n+k+1) and
-2 ln(n+1) are slices of one read-only table of rows ln j and 2 ln j, 2^14
-columns (2 x 128 KB) built once on first use, so that its memory does not
-grow with k; a series past it computes them directly, to the same bits.
-Only what builds an array (adaptive k > 128, a weight read) imports numpy.
+least; a fixed cutoff reports the bound at its n_max.  Both certify from
+scalars: for k <= 128 against the whole sum e^c k! L_k(-c) (the state is
+a†^k|beta>), past it by one walk that steps w_n/w_a right from the anchor
+onto the sum of the terms left of it.  One scalar pass around the anchor
+also gives an unconverged series its moments.  A series builds its sums,
+the only array, when they are first read, and only that imports numpy.
 """
 from __future__ import annotations
 
@@ -38,6 +35,7 @@ import math
 import sys
 from collections.abc import Callable, Iterator
 from contextlib import suppress
+from functools import cached_property
 from itertools import count
 from numbers import Integral
 
@@ -45,13 +43,12 @@ from .errors import HardCapExceeded, InvalidParameter
 from .states import DEFAULT_HARD_CAP, StateSpec, _ReadOnly, _record
 
 DEFAULT_REL_TOL = 1e-14
-# largest k whose adaptive certificate takes the closed-form sum (2-vCPU x86
-# host): its O(k) walk takes 0.1, 0.3, 30 and 600-860 ms at k = 200, 1e3, 1e5
-# and 2e6, the array path 0.02 to 0.34 ms, and math.lgamma's rounding at large
-# arguments moves its bound from theirs by 2.5e-13 to 2.5e-7 relative
+# largest k whose certificate takes the closed-form sum (2-vCPU x86 host, q = 1,
+# |alpha| in [0.5, 30]): its O(k) Laguerre walk takes 0.06, 0.3, 30 and 600-990
+# ms at k = 200, 1e3, 1e5 and 2e6, the scalar walk past it 0.006 to 0.9 ms, and
+# math.lgamma's rounding at large arguments leaves its bound 3e-14 to 2.6e-6 off
+# a 120-bit sum, the scalar walk's 3.2e-15 at most
 _CLOSED_FORM_MAX_K = 128
-_TABLE_CAP = 1 << 14  # columns of the index table of ln j and 2 ln j
-_table = None  # built on first use
 
 
 class AdaptiveTruncation(_record("AdaptiveTruncation", "rel_tol")):
@@ -92,7 +89,7 @@ class TruncatedSeries(_ReadOnly):
     to the retained sum; it is +inf when no geometric bound exists (fixed
     cutoff with term ratio still >= 1).  ``converged`` is False whenever the
     bound fails the policy tolerance, and the sweep copies it into every row.
-    Every series but an adaptive one with k > 128 builds its weights when read.
+    A series from ``truncate`` builds its weights when they are first read.
     Attributes are read-only and equality is identity; a changed series is
     built through the constructor.
     """
@@ -100,31 +97,24 @@ class TruncatedSeries(_ReadOnly):
     def __init__(self, spec: StateSpec, rel_log_weights: np.ndarray, anchor: int,
                  tail_bound_rel: float, converged: bool) -> None:
         self.__dict__.update(spec=spec, rel_log_weights=rel_log_weights, anchor=anchor,
-                             tail_bound_rel=tail_bound_rel, converged=converged)
+                             n_max=rel_log_weights.size - 1, tail_bound_rel=tail_bound_rel,
+                             converged=converged)
 
-    def __getattr__(self, name: str):  # for attributes not set: the unbuilt weights
-        if name != "rel_log_weights" or "_deferred" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rel = self.__dict__[name] = _log_ratio_sums(*self._deferred)
-        return rel
-
-    @property
-    def n_max(self) -> int:
-        rel = self.__dict__.get("rel_log_weights")
-        return self._deferred[3] - 1 if rel is None else rel.size - 1
+    @cached_property
+    def rel_log_weights(self) -> np.ndarray:  # read only where the constructor set none
+        return _log_ratio_sums(self.spec.k, self._ln_c, self.anchor, self.n_max + 1)
 
     @property
     def log_weights(self) -> np.ndarray:
         return self.rel_log_weights + _log_weight(self.spec, self.anchor)
 
 
-def _deferred_series(spec: StateSpec, bound: float, converged: bool,
-                     deferred: tuple) -> TruncatedSeries:
-    """A series, converged or not, that builds rel_log_weights =
-    _log_ratio_sums(*deferred) when read: (k, ln c, anchor, n_max + 1)."""
+def _deferred_series(spec: StateSpec, anchor: int, n_max: int, bound: float,
+                     converged: bool, ln_c: float) -> TruncatedSeries:
+    """A series whose rel_log_weights are built when first read, from ln c."""
     series = object.__new__(TruncatedSeries)
-    series.__dict__.update(spec=spec, anchor=deferred[2], tail_bound_rel=bound,
-                           converged=converged, _deferred=deferred)
+    series.__dict__.update(spec=spec, anchor=anchor, n_max=n_max, tail_bound_rel=bound,
+                           converged=converged, _ln_c=ln_c)
     return series
 
 
@@ -216,8 +206,8 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
 
     Adaptive: stop once the term ratio r = w_{n+1}/w_n is below 1 and the
     geometric tail bound w_{n+1}/(1-r) is at most rel_tol times the retained
-    sum (valid since the ratio decreases monotonically); k <= 128 builds the
-    weights only when read.  Raises HardCapExceeded if the cap is passed first.
+    sum (valid since the ratio decreases monotonically).  Raises
+    HardCapExceeded if the cap is passed first.
 
     Fixed: keep exactly n_max + 1 terms; the series counts as converged
     only if the same certified bound happens to hold at n_max against
@@ -228,7 +218,7 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
         raise InvalidParameter("spec must be a StateSpec")
     if spec.alpha_abs == 0.0:
         # every n >= 1 weight is exactly zero: one term, ln(w_0/w_0) = 0.0, no tail
-        return _deferred_series(spec, 0.0, True, (spec.k, 0.0, 0, 1))
+        return _deferred_series(spec, 0, 0, 0.0, True, 0.0)
     c = _ratio_constant(spec)
     # the log form, whose two terms can cancel, only where c is not a normal double
     ln_c = (math.log(c) if sys.float_info.min <= c < math.inf
@@ -244,31 +234,13 @@ def _point(spec: StateSpec) -> str:
     return f"q={spec.q!r}, k={spec.k}, |alpha|={spec.alpha_abs!r}"
 
 
-def _index_row(row: int, lo: int, hi: int) -> np.ndarray:
-    """Row ln j or 2 ln j (row 0 or 1) for j = lo+1..hi: computed afresh past
-    _TABLE_CAP, else a read-only slice of the table (threads that race to
-    build it build equal tables, and either serves)."""
-    import numpy as np
-    global _table
-    if hi > _TABLE_CAP:
-        ln_j = np.log(np.arange(lo + 1.0, hi + 1))
-        return 2.0 * ln_j if row else ln_j
-    if _table is None:
-        table = np.empty((2, _TABLE_CAP))
-        np.log(np.arange(1.0, _TABLE_CAP + 1), out=table[0])
-        np.multiply(table[0], 2.0, out=table[1])
-        table.flags.writeable = False
-        _table = table
-    return _table[row, lo:hi]
-
-
 def _log_ratio_sums(k: int, ln_c: float, anchor: int, size: int) -> np.ndarray:
     """ln(w_n/w_anchor) for n < size: the log-ratios ln c + ln(n+k+1) - 2 ln(n+1)
     summed outward from the anchor.  A term's value depends only on the terms
     between it and the anchor, not on size."""
     import numpy as np
-    log_ratios = ln_c + _index_row(0, k, k + size - 1)
-    log_ratios -= _index_row(1, 0, size - 1)
+    log_ratios = ln_c + np.log(np.arange(k + 1.0, k + size))
+    log_ratios -= 2.0 * np.log(np.arange(1.0, size))
     # summed into a second buffer: numpy copies the operands of an in-place accumulate
     out = np.empty(size)
     np.add.accumulate(log_ratios[anchor:], out=out[anchor + 1:])
@@ -292,34 +264,35 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
 
     # Every n < n_peak has ratio >= 1, so no stop there; from n_peak on every
     # ratio is below 1, so the stop is the first bound <= rel_tol at n >= 1 (a
-    # lone term has no spread: it reads as the vacuum).  The window reaches
-    # _peak_width at z^2 = 2 ln(1/rel_tol) past the peak and doubles until it
-    # holds the stop.
+    # lone term has no spread: it reads as the vacuum).  For k <= 128 a window
+    # reaching _peak_width at z^2 = 2 ln(1/rel_tol) past the peak doubles until
+    # it holds the stop; past that the walk steps there from the peak.
     first = max(n_peak, 1)
-    width = _peak_width(-2.0 * math.log(policy.rel_tol), n_peak, k)  # 1/rel_tol can overflow
     if k <= _CLOSED_FORM_MAX_K:
+        width = _peak_width(-2.0 * math.log(policy.rel_tol), n_peak, k)  # 1/rel_tol can overflow
         n_max, bound = _closed_form_stop(k, ln_c, c, n_peak, first, width, policy.rel_tol)
-        if n_max <= DEFAULT_HARD_CAP:
-            return _deferred_series(spec, bound, True, (k, ln_c, n_peak, n_max + 1))
     else:
-        import numpy as np
-        while True:
-            end = min(n_peak + width, DEFAULT_HARD_CAP)
-            rel = _log_ratio_sums(k, ln_c, n_peak, end + 1)
-            e = np.exp(rel)
-            bounds = _tail_bound(e[first:], _ratio(c, k, np.arange(first, end + 1.0)),
-                                 np.add.accumulate(e)[first:])
-            i = int((bounds <= policy.rel_tol).argmax())
-            bound = float(bounds[i])
-            if bound <= policy.rel_tol:
-                return TruncatedSeries(spec, rel[:first + i + 1], n_peak, tail_bound_rel=bound,
-                                       converged=True)
-            if end == DEFAULT_HARD_CAP:
-                break
-            width *= 2
+        n_max, bound = _walk_stop(c, k, n_peak, first, DEFAULT_HARD_CAP, policy.rel_tol)
+    if n_max <= DEFAULT_HARD_CAP and bound <= policy.rel_tol:
+        return _deferred_series(spec, n_peak, n_max, bound, True, ln_c)
     raise HardCapExceeded(
         f"{_point(spec)}: adaptive truncation passed hard_cap={DEFAULT_HARD_CAP} "
         f"without certifying rel_tol={policy.rel_tol}")
+
+
+def _walk_stop(c: float, k: int, anchor: int, first: int, last: int,
+               rel_tol: float) -> tuple[int, float]:
+    """(n, bound) at the first n in [first, last] whose bound is at most
+    rel_tol, else at last: t_n = w_n/w_anchor steps right from the anchor by
+    _ratio's formula, and the retained sum from the anchor's left sum by
+    _retained_sums (anchor >= first subunit ratio index, so r_n < 1 here)."""
+    t, s = 1.0, _retained_sums(c, k, anchor, anchor)[0]
+    for n in range(anchor, last + 1):
+        r = c * (n + k + 1) / ((n + 1) * (n + 1))
+        if n >= first and (bound := t * r / (1.0 - r) / s) <= rel_tol or n == last:
+            return n, bound
+        t *= r
+        s += t
 
 
 def _laguerre_walk(y: float, n: int) -> Iterator[float]:
@@ -400,13 +373,9 @@ def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,
         if k <= _CLOSED_FORM_MAX_K:
             term, total = _peak_units(k, ln_c, c, anchor)
             bound = _closed_form_bound(term(n_max), r, total, c, k, n_max)
-        else:
-            t = 1.0
-            for n in range(anchor, n_max):  # t_(n_max), or 0 once it underflows
-                if not (t := t * _ratio(c, k, n)):
-                    break
-            bound = _tail_bound(t, r, _retained_sums(c, k, anchor, n_max)[0])
-    return _deferred_series(spec, bound, bound <= policy.rel_tol, (k, ln_c, anchor, n_max + 1))
+        else:  # the bound at n_max, or 0.0 once it underflows
+            bound = _walk_stop(c, k, anchor, anchor, n_max, 0.0)[1]
+    return _deferred_series(spec, anchor, n_max, bound, bound <= policy.rel_tol, ln_c)
 
 
 def _retained_sums(c: float, k: int, anchor: int, n_max: int) -> tuple[float, float, float]:

@@ -71,6 +71,15 @@ test "$(column "$work/rs-k129.csv" 3)" = "0 16 23 "
 "$fockseries" sweep --observable mandel_q --q 1 --k 200 --alpha-max 2 --steps 5 --out "$work/rq-k200.csv"
 all_converged "$work/rq-k200.csv"
 test "$(column "$work/rq-k200.csv" 3)" = "0 26 40 53 66 "
+"$python" -c "
+import sys
+sys.modules['numpy'] = None  # any import of numpy now fails
+import fockseries.cli
+sys.exit(fockseries.cli.main(['sweep', '--observable', 'mandel_q', '--q', '1', '--k', '200', '--alpha-max', '2', '--steps', '5', '--out', sys.argv[1]]))
+" "$work/rq-k200-no-numpy.csv"
+all_converged "$work/rq-k200-no-numpy.csv"
+test "$(column "$work/rq-k200-no-numpy.csv" 3)" = "0 26 40 53 66 "
+cmp "$work/rq-k200.csv" "$work/rq-k200-no-numpy.csv"
 "$fockseries" preset --name fig2 --steps 3 --out-dir "$work/rfig2"
 test -s "$work/rfig2/plot.gp"
 "$fockseries" sweep --observable mandel_q --alpha-max inf --steps 3 --out "$work/rinf.csv" 2> "$work/rinf.err" && status=0 || status=$?

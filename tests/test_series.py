@@ -293,8 +293,8 @@ def assert_same_truncation(spec, policy):
 
 
 class TestChunkedTail:
-    """The adaptive path, which sums log-ratios in a window that doubles until
-    it holds the stop, against the term-at-a-time reference: the same stop,
+    """The adaptive path, the closed-form stop up to k = 128 and the scalar
+    walk past it, against the term-at-a-time reference: the same stop,
     verdict and errors, and log-weights and bound to a stated tolerance."""
 
     @settings(max_examples=300, deadline=None)
@@ -327,9 +327,60 @@ class TestChunkedTail:
         assert truncate(spec, AdaptiveTruncation()).n_max + k > 1 << 16
         assert_same_truncation(spec, AdaptiveTruncation())
 
-    def test_largest_k_allocates_no_table(self):
-        """At k = 2e6 the series has a dozen terms; no ln m! table is built."""
-        assert adaptive_truncate_peak_bytes(1e-3, 2_000_000, 1.0) < 1 << 20
+    @pytest.mark.parametrize("alpha, k, q", [
+        (1e-3, 2_000_000, 1.0), (1400.0, 129, 1.0), (1000.0, 200, 1.0)])
+    def test_walk_allocates_no_array(self, alpha, k, q):
+        """At k = 2e6 the series has a dozen terms, and at x = 1.96e6 and 1e6
+        about 2e6 and 1e6 terms lie left of the stop: the walk builds no
+        array for either (an array window from n = 0 peaked at 47.7 MB and
+        24.5 MB on the last two)."""
+        assert adaptive_truncate_peak_bytes(alpha, k, q) < 64 << 10
+
+
+def reference_tail_bound(spec, n_max, bits=120):
+    """t_(n_max) r/(1 - r) over the retained sum of t_n = w_n/w_a in mpmath
+    at ``bits``, from the ratios c (n+k+1)/(n+1)^2 of the same double c,
+    outward from the anchor a (the first subunit ratio index): right up to
+    n_max, left until a term is below 2^-(bits+20) of the sum."""
+    k, c = spec.k, _ratio_constant(spec)
+    anchor = _first_subunit_ratio_index(c, k)
+    with mp.workprec(bits):
+        c, tiny = mp.mpf(c), mp.mpf(2) ** (-bits - 20)
+
+        def ratio(n):
+            return c * (n + k + 1) / mp.mpf(n + 1) ** 2
+
+        s = t = mp.mpf(1)
+        for n in range(anchor - 1, -1, -1):
+            t /= ratio(n)
+            s += t
+            if t < tiny * s:
+                break
+        t = mp.mpf(1)
+        for n in range(anchor, n_max):
+            t *= ratio(n)
+            s += t
+        r = ratio(n_max)
+        return t * r / (1 - r) / s
+
+
+class TestWalkCertificate:
+    """Past k = 128 one scalar walk certifies both policies: t_n steps right
+    from the anchor by the exact ratio onto the sum of the terms left of it.
+    Its bound is held to the same sum at 120 bits from the same double c.
+    The walk's worst relative error over these points was 1.1e-15 and the
+    tolerance allows about 7x that; the array window it replaced, which
+    summed exponentiated log-ratio sums, was 3.4e-15 to 6.8e-13 off."""
+
+    @pytest.mark.parametrize("k, alpha, policy", [
+        (200, 10.0, AdaptiveTruncation()), (200, 100.0, AdaptiveTruncation()),
+        (1000, 30.0, AdaptiveTruncation()), (2_000_000, 1.0, AdaptiveTruncation()),
+        (300, 2.0, FixedTruncation(n_max=60))])
+    def test_bound_matches_mpmath(self, k, alpha, policy):
+        got = truncate(penson_solomon_state(alpha, k, 1.0), policy)
+        assert 0.0 < got.tail_bound_rel < 1.0
+        want = reference_tail_bound(got.spec, got.n_max)
+        assert abs(got.tail_bound_rel - want) <= 8e-15 * want, _point(got.spec)
 
 
 def fresh_process_stdout(code):
@@ -368,8 +419,8 @@ def sum_outward(log_ratios, anchor):
 
 
 def direct_log_ratio_sums(k, ln_c, anchor, size):
-    """_log_ratio_sums with its index arrays built on every call, as before
-    the cached table."""
+    """_log_ratio_sums with its index arrays built from one arange, summed
+    by sum_outward."""
     m = np.arange(1.0, size)  # n + 1
     return sum_outward(ln_c + np.log(m + k) - 2.0 * np.log(m), anchor)
 
@@ -414,27 +465,23 @@ def index_table_grid(size=300, seed=23):
         yield penson_solomon_state(math.sqrt(x) * q ** k, k, q), policy
 
 
-@pytest.fixture
-def empty_table(monkeypatch):
-    """An unbuilt index table, restored to the shared one afterwards."""
-    monkeypatch.setattr(series, "_table", None)
-
-
 class TestIndexTable:
-    """truncate takes ln j and 2 ln j from a table of _TABLE_CAP columns,
-    past which it computes them; either way the bits are those of arrays
-    built afresh on every call."""
+    """A weight read computes its index arrays ln(n+k+1) and 2 ln(n+1) on
+    each call and sums the log-ratios outward from the anchor: the bits are
+    those of sum_outward, an accumulation through reversed copies and a
+    negated temporary, at any size, where a cached table of 2^14 columns
+    once ended too."""
 
-    def test_same_bits_on_a_seeded_grid(self, empty_table):
+    def test_same_bits_on_a_seeded_grid(self):
         for spec, policy in index_table_grid():
             assert_same_bits(spec, policy)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_same_bits_at_the_cap(self, empty_table, offset):
+    def test_same_bits_at_the_cap(self, offset):
         """The log-ratio sums of 502 terms and a fixed-cutoff series each
-        needing _TABLE_CAP + offset columns (k + size - 1), and the adaptive
-        window of that k > 128, whose ratios are _ratio's."""
-        k, c = series._TABLE_CAP + offset - 501, 0.25
+        reaching index 16384 + offset (k + size - 1), and the adaptive series
+        of that k > 128."""
+        k, c = 16_384 + offset - 501, 0.25
         got = series._log_ratio_sums(k, math.log(c), 0, 502)
         assert got.tobytes() == direct_log_ratio_sums(k, math.log(c), 0, 502).tobytes()
         for policy in (FixedTruncation(n_max=501), AdaptiveTruncation()):
@@ -442,51 +489,31 @@ class TestIndexTable:
 
     @pytest.mark.parametrize("k, anchor, size", [
         (3, 0, 25), (3, 24, 25), (0, 0, 1), (3, 0, 1), (3, 0, 2), (3, 1, 2),
-        (series._TABLE_CAP - 10, 12, 40), (series._TABLE_CAP - 10, 0, 40)])
-    def test_log_ratio_sums_at_the_edges(self, empty_table, k, anchor, size):
+        (16_374, 12, 40), (16_374, 0, 40)])
+    def test_log_ratio_sums_at_the_edges(self, k, anchor, size):
         """Anchor 0 (no backward sum), anchor size - 1 (no forward sum), one
-        and two terms, and windows past the cap, all in one table state."""
+        and two terms, and windows across index 16384."""
         got = series._log_ratio_sums(k, -1.5, anchor, size)
         assert got.tobytes() == direct_log_ratio_sums(k, -1.5, anchor, size).tobytes()
 
     @pytest.mark.parametrize("alpha, k", [(0.5, 3), (5.0, 3), (1e-6, 0), (0.5, 20_000)])
     @pytest.mark.parametrize("n_max", [0, 1, 100])
-    def test_same_bits_for_short_fixed_cutoffs(self, empty_table, alpha, k, n_max):
+    def test_same_bits_for_short_fixed_cutoffs(self, alpha, k, n_max):
         """fixed:0 and fixed:1 (one and two terms), and a cutoff before the
         peak at |alpha| = 5 (anchored at its last term); k = 20000 reads
-        past the cap."""
+        past index 16384."""
         assert_same_bits(penson_solomon_state(alpha, k, 0.5 if k == 3 else 1.0),
                          FixedTruncation(n_max=n_max))
 
     @pytest.mark.parametrize("order", [1, -1])
-    def test_same_bits_in_either_call_order(self, empty_table, order):
-        """A series past the cap and two within it, the larger first or last,
-        each cut where the adaptive policy stops (which builds no array)."""
+    def test_same_bits_in_either_call_order(self, order):
+        """A series past index 16384 and two within it, the larger first or
+        last, each cut where the adaptive policy stops (which builds no array)."""
         specs = [penson_solomon_state(128.0, 0, 1.0), penson_solomon_state(2.75, 3, 0.5),
                  penson_solomon_state(0.5, 1, 0.5)]
         for spec in specs[::order]:
             n_max = truncate(spec, AdaptiveTruncation()).n_max
             assert_same_bits(spec, FixedTruncation(n_max=n_max))
-
-    def test_retained_size(self, empty_table):
-        """Not built at import nor by a fixed cutoff's truncate; built once on
-        the first weight read, the rows ln j and 2 ln j, _TABLE_CAP wide and
-        read-only, and kept through reads within and past the cap."""
-        assert fresh_process_stdout("import fockseries, fockseries.cli, fockseries.series as s\n"
-                                    "print(s._table is None)\n") == "True\n"
-        fixed = truncate(penson_solomon_state(2.75, 3, 0.5), FixedTruncation(n_max=700))
-        assert series._table is None
-        fixed.rel_log_weights
-        table = series._table
-        ln_j = np.log(np.arange(1.0, series._TABLE_CAP + 1))
-        assert table.tobytes() == np.stack((ln_j, 2.0 * ln_j)).tobytes()
-        assert table.shape == (2, series._TABLE_CAP) and not table.flags.writeable
-        with pytest.raises(ValueError):
-            series._index_row(1, 0, 10)[0] = 0.0
-        for spec, n_max in [((300.0, 0, 1.0), 100_000), ((0.5, 3, 0.5), 100)]:
-            truncate(penson_solomon_state(*spec), FixedTruncation(n_max=n_max)).rel_log_weights
-        truncate(penson_solomon_state(1e-3, 2_000_000, 1.0), AdaptiveTruncation())
-        assert series._table is table
 
 
 class TestTruncate:
@@ -501,7 +528,7 @@ class TestTruncate:
     @pytest.mark.parametrize("k", [0, 3, 200, 1 << 15])
     def test_zero_amplitude_weight_is_zero_when_read(self, k):
         """The lone weight, built on first read, is ln(w_0/w_0) = 0.0 at
-        anchor 0 for any k, past the index table's columns too."""
+        anchor 0 for any k, past index 16384 too."""
         series = truncate(penson_solomon_state(0.0, k, 0.5), AdaptiveTruncation())
         assert series.n_max == 0 and series.anchor == 0
         assert series.rel_log_weights.tolist() == [0.0]
@@ -608,7 +635,7 @@ class TestPeakRelativeSums:
         (2.0, 3, 0.5, FixedTruncation(n_max=400), None),  # fig2's cutoff past the peak
         (2.0, 0, 1.0, FixedTruncation(n_max=80), None),  # a tie w_3 = w_4 at the peak
         (0.0, 3, 0.5, AdaptiveTruncation(), 0),
-        (128.0, 0, 1.0, AdaptiveTruncation(), None),  # a window past _TABLE_CAP
+        (128.0, 0, 1.0, AdaptiveTruncation(), None),  # n + k past 16384
     ])
     def test_anchored_at_the_largest_term(self, alpha, k, q, policy, anchor):
         spec = penson_solomon_state(alpha, k, q)
@@ -622,7 +649,7 @@ class TestPeakRelativeSums:
         want = absolute_log_weights(spec, anchor, got.n_max + 1)
         assert got.log_weights.tobytes() == want.tobytes()
         if alpha == 128.0:
-            assert got.n_max + k > series._TABLE_CAP
+            assert got.n_max + k > 16_384
 
 
 class TestToleranceProperties:
@@ -763,7 +790,7 @@ class TestRetainedMoments:
         (1e-160, 0, 1.0, 5), (1e-160, 2, 1.0, 1),  # c = 1e-320, subnormal
         (2.0, 1, 1e-150, 3),  # c = 4e300, the terms below n_max near underflow
         (2.0, 200, 1.0, 20), (2.0, 200, 1.0, 45), (0.05, 20_000, 1.0, 10),  # k > 128
-        (130.0, 0, 1.0, 16_400), (130.0, 0, 1.0, 17_000),  # past _TABLE_CAP
+        (130.0, 0, 1.0, 16_400), (130.0, 0, 1.0, 17_000),  # n + k past 16384
     ])
     def test_edge_cases_match_mpmath(self, alpha, k, q, n_max):
         got = truncate(penson_solomon_state(alpha, k, q), FixedTruncation(n_max=n_max))
@@ -788,7 +815,7 @@ class TestRetainedMoments:
 
     def test_bound_and_verdict_match_the_array_bound(self):
         """The bound of a fixed cutoff, from the closed-form sum at k <= 128
-        and from the pass past it, against w_(n_max) r/(1 - r) over the sum
+        and from the walk past it, against w_(n_max) r/(1 - r) over the sum
         of the exponentiated weights (1.0e-12 apart at most over three seeds'
         fixed cutoffs); the converged verdict is the same at every point."""
         for spec, policy in index_table_grid(size=100, seed=29):
@@ -960,8 +987,8 @@ class TestClosedFormStatistics:
     @pytest.mark.parametrize("k", [129, 200, 1000])
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_matches_the_oracle_past_k_128(self, alpha, k):
-        """Adaptive series past k = 128 are certified from their weight
-        arrays; their moments still come from the closed form (the retained
+        """Adaptive series past k = 128 are certified by the scalar walk;
+        their moments still come from the closed form (the retained
         distribution's Q missed the oracle by up to 7.8e-14 at k = 129-1000)."""
         spec = penson_solomon_state(alpha, k, 1.0)
         got = photon_statistics(truncate(spec, AdaptiveTruncation()))
@@ -998,11 +1025,12 @@ def raise_if_called(*args):
 
 
 class TestClosedFormCertificate:
-    """An adaptive series with k <= _CLOSED_FORM_MAX_K takes its stop and
-    bound from the closed-form norm and builds its weights only when read."""
+    """An adaptive series takes its stop and bound from scalars, the
+    closed-form norm up to k = _CLOSED_FORM_MAX_K and the walk past it, and
+    builds its weights only when read."""
 
     POINTS = [(2.75, 3, 0.5), (5.0, 3, 0.5), (1e-4, 0, 1.0), (0.3, _CLOSED_FORM_MAX_K, 1.0),
-              (128.0, 0, 1.0)]
+              (128.0, 0, 1.0), (10.0, _CLOSED_FORM_MAX_K + 72, 1.0)]
 
     @pytest.mark.parametrize("alpha, k, q", POINTS)
     def test_values_need_no_weights(self, monkeypatch, alpha, k, q):

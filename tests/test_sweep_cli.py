@@ -514,11 +514,11 @@ class TestCliExitCodes:
         assert proc.returncode == 0, proc.stderr
 
     def test_closed_form_runs_load_no_numpy(self, tmp_path):
-        """The three presets, an adaptive Q sweep with k <= 128, a fixed:700
-        Q sweep and an adaptive S sweep on the default grid, which starts at
-        |alpha| = 0, take every point from scalars (closed forms, and one pass
-        over an unconverged cutoff's terms), so no process of theirs imports
-        numpy."""
+        """The three presets, adaptive Q sweeps at k = 3 and k = 200, fixed
+        Q sweeps at k = 3 and k = 300 and an adaptive S sweep on the default
+        grid, which starts at |alpha| = 0, take every point from scalars
+        (closed forms, the walk past k = 128, and one pass over an
+        unconverged cutoff's terms), so no process of theirs imports numpy."""
         src = Path(fockseries.__file__).resolve().parent.parent
         runs = [["preset", "--name", "fig1-left", "--out-dir", str(tmp_path / "left")],
                 ["preset", "--name", "fig1-right", "--out-dir", str(tmp_path / "right")],
@@ -528,14 +528,18 @@ class TestCliExitCodes:
                 ["sweep", "--observable", "mandel_q", "--q", "0.5", "--k", "3",
                  "--policy", "fixed:700", "--out", str(tmp_path / "q700.csv")],
                 ["sweep", "--observable", "linear_entropy", "--q", "0.5", "--k", "3",
-                 "--out", str(tmp_path / "s.csv")]]
+                 "--out", str(tmp_path / "s.csv")],
+                ["sweep", "--observable", "mandel_q", "--q", "1", "--k", "200",
+                 "--out", str(tmp_path / "q200.csv")],
+                ["sweep", "--observable", "mandel_q", "--q", "1", "--k", "300",
+                 "--policy", "fixed:400", "--out", str(tmp_path / "q300.csv")]]
         for argv in runs:
             code = ("import sys\nfrom fockseries.cli import main\n"
                     f"assert main({argv!r}) == 0\nassert 'numpy' not in sys.modules\n")
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                   env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
             assert proc.returncode == 0, (argv, proc.stderr)
-        for name in ("q.csv", "q700.csv", "s.csv"):
+        for name in ("q.csv", "q700.csv", "s.csv", "q200.csv", "q300.csv"):
             _, rows = read_curve_csv(tmp_path / name)
             assert (len(rows), rows[0]["alpha"]) == (201, "0.0")
         assert len(list((tmp_path / "fig2").iterdir())) == 7
