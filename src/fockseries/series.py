@@ -285,14 +285,18 @@ def _walk_stop(c: float, k: int, anchor: int, first: int, last: int,
     """(n, bound) at the first n in [first, last] whose bound is at most
     rel_tol, else at last: t_n = w_n/w_anchor steps right from the anchor by
     _ratio's formula, and the retained sum from the anchor's left sum by
-    _retained_sums (anchor >= first subunit ratio index, so r_n < 1 here)."""
-    t, s = 1.0, _retained_sums(c, k, anchor, anchor)[0]
+    _retained_sums (anchor >= first subunit ratio index, so r_n < 1 here).
+    t_n is held as t * scale with t normal, so that a subnormal t_n is
+    rounded once, not on every step."""
+    t, s, scale = 1.0, _retained_sums(c, k, anchor, anchor)[0], 1.0
     for n in range(anchor, last + 1):
         r = c * (n + k + 1) / ((n + 1) * (n + 1))
-        if n >= first and (bound := t * r / (1.0 - r) / s) <= rel_tol or n == last:
+        if n >= first and (bound := t * scale * r / (1.0 - r) / s) <= rel_tol or n == last:
             return n, bound
         t *= r
-        s += t
+        s += t * scale
+        if t < 2.0 ** -500:  # exact: powers of two
+            t, scale = t * 2.0 ** 500, scale * 2.0 ** -500
 
 
 def _laguerre_walk(y: float, n: int) -> Iterator[float]:

@@ -318,6 +318,17 @@ class TestChunkedTail:
         assert lws[1004] > lws[1003] > lws[:1003].max()
         assert_same_truncation(spec, AdaptiveTruncation())
 
+    @pytest.mark.parametrize("c, k", [
+        (735759.2502223264, 129), (109827.9271270668, 146), (154900.9251476949, 275),
+        (1169630.0059566314, 152)])
+    def test_subnormal_tolerance_past_k_128(self, c, k):
+        """At rel_tol = 5e-324 the walk's last terms are subnormal: stepped
+        there product by product, t lost bits on every step and stopped one
+        term early; held as a normal t times a power-of-two scale, it keeps
+        the reference's stop."""
+        assert_same_truncation(penson_solomon_state(math.sqrt(c), k, 1.0),
+                               AdaptiveTruncation(5e-324))
+
     @pytest.mark.parametrize("alpha, k", [(1e-3, 100_000), (300.0, 0), (255.0, 0)])
     def test_windows_past_the_lgamma_table_cap(self, alpha, k):
         """n + k past 2^16, the size of the ln m! table the weights once took
@@ -372,11 +383,11 @@ class TestWalkCertificate:
     tolerance allows about 7x that; the array window it replaced, which
     summed exponentiated log-ratio sums, was 3.4e-15 to 6.8e-13 off."""
 
-    @pytest.mark.parametrize("k, alpha, policy", [
-        (200, 10.0, AdaptiveTruncation()), (200, 100.0, AdaptiveTruncation()),
-        (1000, 30.0, AdaptiveTruncation()), (2_000_000, 1.0, AdaptiveTruncation()),
-        (300, 2.0, FixedTruncation(n_max=60))])
-    def test_bound_matches_mpmath(self, k, alpha, policy):
+    @pytest.mark.parametrize("k, alpha, n_max", [
+        (200, 10.0, None), (200, 100.0, None), (1000, 30.0, None), (2_000_000, 1.0, None),
+        (300, 2.0, 60)])  # None: adaptive
+    def test_bound_matches_mpmath(self, k, alpha, n_max):
+        policy = AdaptiveTruncation() if n_max is None else FixedTruncation(n_max=n_max)
         got = truncate(penson_solomon_state(alpha, k, 1.0), policy)
         assert 0.0 < got.tail_bound_rel < 1.0
         want = reference_tail_bound(got.spec, got.n_max)
