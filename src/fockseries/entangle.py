@@ -34,8 +34,8 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import HardCapExceeded, InvalidParameter, UnnormalizedInput
-from .series import TruncatedSeries, _logsumexp, _point, _ratio_constant
-from .states import StateSpec, _ReadOnly, _record
+from .series import TruncatedSeries, _log_sum, _point, _ratio_constant
+from .states import StateSpec, _record
 
 # rounding slack on the unit-norm check, in units of eps * log_scale: each log
 # amplitude sums about eight roundings of terms up to log_scale in magnitude,
@@ -63,7 +63,7 @@ class BeamSplitterSetting(_record("BeamSplitterSetting", "theta")):
         return tuple.__new__(cls, (th,))
 
 
-class JointAmplitudes(_ReadOnly):
+class JointAmplitudes(_record("JointAmplitudes", "matrix norm_tol spec")):
     """Joint Fock amplitudes A(j, l) of the two output modes.
 
     ``matrix[j, l]`` holds the amplitude for j transmitted and l reflected
@@ -73,12 +73,12 @@ class JointAmplitudes(_ReadOnly):
     unitary, so the squared entries sum to 1 within ``norm_tol``: ten times
     the source series' tail bound plus a rounding floor of 16 eps times the
     largest magnitude among the log terms summed into any amplitude (at
-    least 1).  ``spec`` is the source state, named in errors.  Attributes
-    are read-only and equality is identity, as for a TruncatedSeries.
+    least 1).  ``spec`` is the source state, named in errors.  Equality is
+    identity, as a matrix has no truth value.
     """
 
-    def __init__(self, matrix: np.ndarray, norm_tol: float, spec: StateSpec) -> None:
-        self.__dict__.update(matrix=matrix, norm_tol=norm_tol, spec=spec)
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 class EntanglementResult(_record("EntanglementResult", "purity linear_entropy")):
@@ -109,8 +109,9 @@ def split(series: TruncatedSeries,
         raise HardCapExceeded(
             f"{_point(series.spec)}: output dimension D={dim} exceeds the split cap {MAX_DIM}")
     matrix = np.zeros((dim, dim))  # the only D x D array
-    ln_sum = _logsumexp(series.rel_log_weights)  # ln sum_n w_n/w_anchor
-    ln_c = 0.5 * (series.rel_log_weights - ln_sum)  # ln c_m, m = n + k
+    rel_log_weights = series.rel_log_weights
+    ln_sum = _log_sum(rel_log_weights)  # ln sum_n w_n/w_anchor
+    ln_c = 0.5 * (rel_log_weights - ln_sum)  # ln c_m, m = n + k
     ln_t = math.log(math.cos(setting.theta))
     ln_r = math.log(math.sin(setting.theta))
 

@@ -19,15 +19,15 @@ which is strictly decreasing in n, so once it drops below 1 the neglected
 tail is bounded by the geometric sum next-term/(1 - ratio).  A series is
 evaluated as ln(w_n/w_a) for an anchor a at its largest term: the sum of the
 log-ratios ln c + ln(n+k+1) - 2 ln(n+1), outward from a in both directions,
-so no large log is rounded before the ratios are taken; a series keeps these
-sums and a, and its log_weights add ln w_a when read.  Adaptive truncation
-stops once the bound is below the requested tolerance, keeping two terms at
-least; a fixed cutoff reports the bound at its n_max.  Both certify from
-scalars: for k <= 128 against the whole sum e^c k! L_k(-c) (the state is
-a†^k|beta>), past it by one walk that steps w_n/w_a right from the anchor
-onto the sum of the terms left of it.  One scalar pass around the anchor
-also gives an unconverged series its moments.  A series builds its sums,
-the only array, when they are first read, and only that imports numpy.
+so no large log is rounded before the ratios are taken; a series keeps a,
+n_max and its certificate, derives these sums on each read, and its
+log_weights add ln w_a.  Adaptive truncation stops once the bound is below
+the requested tolerance, keeping two terms at least; a fixed cutoff reports
+the bound at its n_max.  Both certify from scalars: for k <= 128 against
+the whole sum e^c k! L_k(-c) (the state is a†^k|beta>), past it by one walk
+that steps w_n/w_a right from the anchor onto the sum of the terms left of
+it.  One scalar pass around the anchor also gives an unconverged series its
+moments.  Only a read of the sums, the only array, imports numpy.
 """
 from __future__ import annotations
 
@@ -35,12 +35,11 @@ import math
 import sys
 from collections.abc import Callable, Iterator
 from contextlib import suppress
-from functools import cached_property
 from itertools import count
 from numbers import Integral
 
 from .errors import HardCapExceeded, InvalidParameter
-from .states import DEFAULT_HARD_CAP, StateSpec, _ReadOnly, _record
+from .states import DEFAULT_HARD_CAP, StateSpec, _record
 
 DEFAULT_REL_TOL = 1e-14
 # largest k whose certificate takes the closed-form sum (2-vCPU x86 host, q = 1,
@@ -80,42 +79,30 @@ class FixedTruncation(_record("FixedTruncation", "n_max")):
 TruncationPolicy = AdaptiveTruncation | FixedTruncation
 
 
-class TruncatedSeries(_ReadOnly):
-    """ln(w_n/w_anchor) for n = 0..n_max, 0.0 at the largest retained term
-    ``anchor`` (``log_weights`` adds ln w_anchor), and a certified relative
-    tail bound.
+class TruncatedSeries(_record("TruncatedSeries", "spec anchor n_max tail_bound_rel converged")):
+    """A series of n_max + 1 terms anchored at its largest retained term
+    ``anchor``, and a certified relative tail bound.
 
     ``tail_bound_rel`` is an upper bound on the neglected tail mass relative
     to the retained sum; it is +inf when no geometric bound exists (fixed
     cutoff with term ratio still >= 1).  ``converged`` is False whenever the
     bound fails the policy tolerance, and the sweep copies it into every row.
-    A series from ``truncate`` builds its weights when they are first read.
-    Attributes are read-only and equality is identity; a changed series is
-    built through the constructor.
+    ``rel_log_weights``, ln(w_n/w_anchor) for n = 0..n_max (0.0 at the
+    anchor), are derived from the fields on each read; ``log_weights`` add
+    ln w_anchor.
     """
 
-    def __init__(self, spec: StateSpec, rel_log_weights: np.ndarray, anchor: int,
-                 tail_bound_rel: float, converged: bool) -> None:
-        self.__dict__.update(spec=spec, rel_log_weights=rel_log_weights, anchor=anchor,
-                             n_max=rel_log_weights.size - 1, tail_bound_rel=tail_bound_rel,
-                             converged=converged)
+    __slots__ = ()
 
-    @cached_property
-    def rel_log_weights(self) -> np.ndarray:  # read only where the constructor set none
-        return _log_ratio_sums(self.spec.k, self._ln_c, self.anchor, self.n_max + 1)
+    @property
+    def rel_log_weights(self) -> np.ndarray:
+        spec = self.spec
+        return _log_ratio_sums(spec.k, _log_ratio_constant(spec, _ratio_constant(spec)),
+                               self.anchor, self.n_max + 1)
 
     @property
     def log_weights(self) -> np.ndarray:
         return self.rel_log_weights + _log_weight(self.spec, self.anchor)
-
-
-def _deferred_series(spec: StateSpec, anchor: int, n_max: int, bound: float,
-                     converged: bool, ln_c: float) -> TruncatedSeries:
-    """A series whose rel_log_weights are built when first read, from ln c."""
-    series = object.__new__(TruncatedSeries)
-    series.__dict__.update(spec=spec, anchor=anchor, n_max=n_max, tail_bound_rel=bound,
-                           converged=converged, _ln_c=ln_c)
-    return series
 
 
 class PhotonStatistics(_record("PhotonStatistics", "mean_n variance mandel_q")):
@@ -124,17 +111,11 @@ class PhotonStatistics(_record("PhotonStatistics", "mean_n variance mandel_q")):
     __slots__ = ()
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """ln sum exp(a) of a finite 1-D array in the reference logsumexp's
-    operation order: the maximal entries leave the sum as log(count)."""
+def _log_sum(rel_log_weights: np.ndarray) -> float:
+    """ln sum_n w_n/w_anchor: every term is at most 1, up to rounding, and 1 at
+    the anchor, so the exponentials need no shift."""
     import numpy as np
-    a_max = a.max()
-    at_max = a == a_max
-    count = np.float64(np.count_nonzero(at_max))
-    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum()
-    if s != 0.0:
-        s = s / count
-    return float(np.log1p(s) + np.log(count) + a_max)
+    return math.log(np.exp(rel_log_weights).sum())
 
 
 def log_weight(spec: StateSpec, n: int) -> float:
@@ -180,6 +161,17 @@ def _ratio_constant(spec: StateSpec) -> float:
     return math.inf
 
 
+def _log_ratio_constant(spec: StateSpec, c: float) -> float:
+    """ln c for c = _ratio_constant(spec), 0.0 at |alpha| = 0, where only n = 0
+    exists; the log form, whose two terms can cancel, only where c is not a
+    normal double."""
+    if spec.alpha_abs == 0.0:
+        return 0.0
+    if sys.float_info.min <= c < math.inf:
+        return math.log(c)
+    return 2.0 * math.log(spec.alpha_abs) + 2 * spec.k * math.log(1.0 / spec.q)
+
+
 def _tail_bound(term, r, scaled_sum):
     """Geometric tail bound w_next/(1-r) over the retained sum, scaled alike."""
     return term * r / (1.0 - r) / scaled_sum
@@ -218,11 +210,9 @@ def truncate(spec: StateSpec, policy: TruncationPolicy) -> TruncatedSeries:
         raise InvalidParameter("spec must be a StateSpec")
     if spec.alpha_abs == 0.0:
         # every n >= 1 weight is exactly zero: one term, ln(w_0/w_0) = 0.0, no tail
-        return _deferred_series(spec, 0, 0, 0.0, True, 0.0)
+        return TruncatedSeries(spec, 0, 0, 0.0, True)
     c = _ratio_constant(spec)
-    # the log form, whose two terms can cancel, only where c is not a normal double
-    ln_c = (math.log(c) if sys.float_info.min <= c < math.inf
-            else 2.0 * math.log(spec.alpha_abs) + 2 * spec.k * math.log(1.0 / spec.q))
+    ln_c = _log_ratio_constant(spec, c)
     if isinstance(policy, AdaptiveTruncation):
         return _truncate_adaptive(spec, policy, ln_c, c)
     if isinstance(policy, FixedTruncation):
@@ -274,7 +264,7 @@ def _truncate_adaptive(spec: StateSpec, policy: AdaptiveTruncation,
     else:
         n_max, bound = _walk_stop(c, k, n_peak, first, DEFAULT_HARD_CAP, policy.rel_tol)
     if n_max <= DEFAULT_HARD_CAP and bound <= policy.rel_tol:
-        return _deferred_series(spec, n_peak, n_max, bound, True, ln_c)
+        return TruncatedSeries(spec, n_peak, n_max, bound, True)
     raise HardCapExceeded(
         f"{_point(spec)}: adaptive truncation passed hard_cap={DEFAULT_HARD_CAP} "
         f"without certifying rel_tol={policy.rel_tol}")
@@ -379,7 +369,7 @@ def _truncate_fixed(spec: StateSpec, policy: FixedTruncation,
             bound = _closed_form_bound(term(n_max), r, total, c, k, n_max)
         else:  # the bound at n_max, or 0.0 once it underflows
             bound = _walk_stop(c, k, anchor, anchor, n_max, 0.0)[1]
-    return _deferred_series(spec, anchor, n_max, bound, bound <= policy.rel_tol, ln_c)
+    return TruncatedSeries(spec, anchor, n_max, bound, bound <= policy.rel_tol)
 
 
 def _retained_sums(c: float, k: int, anchor: int, n_max: int) -> tuple[float, float, float]:
@@ -411,7 +401,7 @@ def _retained_sums(c: float, k: int, anchor: int, n_max: int) -> tuple[float, fl
 
 def normalization_log(series: TruncatedSeries) -> float:
     """ln N = -(1/2) ln sum_n w_n over the retained weights."""
-    return -0.5 * _logsumexp(series.log_weights)
+    return -0.5 * (_log_weight(series.spec, series.anchor) + _log_sum(series.rel_log_weights))
 
 
 def photon_distribution(series: TruncatedSeries) -> list[tuple[int, float]]:

@@ -1,4 +1,4 @@
-"""State parameters, and the two kinds of value type the package declares.
+"""State parameters, and the one kind of value type the package declares.
 
 The states are photon-added nonlinear coherent states: a coherent amplitude
 of modulus |alpha|, k added photons, and the Penson-Solomon deformation
@@ -6,9 +6,8 @@ f(n) = q^(1-n) with 0 < q <= 1; q = 1 recovers ordinary photon-added coherent
 states.  Every statistic depends on the amplitude only through its modulus,
 so the phase is not a parameter.
 
-Parameters and results are named tuples (``_record``) that validate in
-``__new__``, which ``_replace``, copies and unpickling run too; containers
-of arrays (``_ReadOnly``) are read-only and compare by identity.
+Parameters and results are named tuples (``_record``); those that validate
+do so in ``__new__``, which ``_replace``, copies and unpickling run too.
 """
 from __future__ import annotations
 
@@ -27,17 +26,6 @@ def _record(name: str, fields: str) -> type:
     base = namedtuple(name, fields)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     return base
-
-
-class _ReadOnly:
-    """Attributes written once into ``__dict__``; assigning or deleting one
-    raises AttributeError, and instances compare by identity."""
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class StateSpec(_record("StateSpec", "alpha_abs k q")):

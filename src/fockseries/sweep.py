@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from types import MappingProxyType
 
 from ._version import __version__
 from .entangle import BeamSplitterSetting, linear_entropy
@@ -175,16 +174,9 @@ class PresetCurve(_record("PresetCurve", "filename label style width k policy"))
 
 class Preset(_record("Preset", "name q curves assumptions")):
     """A Mandel Q figure: one curve per (k, policy) at a shared q.  ``assumptions``
-    is a read-only copy of the mapping given, recorded in the manifest."""
+    holds (key, text) pairs, recorded in the manifest."""
 
     __slots__ = ()
-
-    def __new__(cls, name: str, q: float, curves: tuple[PresetCurve, ...],
-                assumptions: Mapping[str, str] = MappingProxyType({})) -> Preset:
-        return tuple.__new__(cls, (name, q, curves, MappingProxyType(dict(assumptions))))
-
-    def __getnewargs__(self) -> tuple:  # a mappingproxy does not pickle
-        return (*self[:3], dict(self.assumptions))
 
 
 def _fig1(name: str, q: float, ks: tuple[int, int, int]) -> Preset:
@@ -193,7 +185,7 @@ def _fig1(name: str, q: float, ks: tuple[int, int, int]) -> Preset:
         PresetCurve(filename=f"{name}_k{k}.csv", label=f"k={k}", style=style,
                     width=1, k=k, policy=AdaptiveTruncation())
         for k, style in zip(ks, styles))
-    return Preset(name=name, q=q, curves=curves)
+    return Preset(name=name, q=q, curves=curves, assumptions=())
 
 
 def _fig2() -> Preset:
@@ -206,7 +198,7 @@ def _fig2() -> Preset:
     curves.append(PresetCurve(filename="fig2_adaptive.csv", label="adaptive reference",
                               style="solid", width=2, k=3, policy=AdaptiveTruncation()))
     return Preset(name="fig2", q=0.5, curves=tuple(curves),
-                  assumptions={"q": "0.5 assumed; the source figure caption does not state it"})
+                  assumptions=(("q", "0.5 assumed; the source figure caption does not state it"),))
 
 
 PRESETS = {

@@ -32,7 +32,7 @@ from fockseries.entangle import (
 from fockseries.oracle import _beta, oracle_entropy
 from fockseries.series import (
     _first_subunit_ratio_index,
-    _logsumexp,
+    _log_sum,
     _peak_width,
     _ratio_constant,
 )
@@ -50,7 +50,7 @@ def split_by_antidiagonal(series, setting):
     """Reference joint matrix, filled one total photon number m at a time."""
     k = series.spec.k
     dim = series.n_max + k + 1
-    ln_c = 0.5 * (series.rel_log_weights - _logsumexp(series.rel_log_weights))
+    ln_c = 0.5 * (series.rel_log_weights - _log_sum(series.rel_log_weights))
     ln_t = math.log(math.cos(setting.theta))
     ln_r = math.log(math.sin(setting.theta))
     matrix = np.zeros((dim, dim))

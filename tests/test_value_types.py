@@ -1,6 +1,6 @@
-"""Value types: records are immutable named tuples that validate whenever they
-are built; TruncatedSeries and JointAmplitudes are read-only and compare by
-identity."""
+"""Value types: every one is an immutable named tuple, and those that validate
+do so whenever they are built; all compare by value but JointAmplitudes,
+whose matrix has no truth value."""
 import copy
 import pickle
 
@@ -11,6 +11,7 @@ from fockseries import (
     BeamSplitterSetting,
     FixedTruncation,
     InvalidParameter,
+    JointAmplitudes,
     StateSpec,
     SweepRequest,
     linear_entropy,
@@ -20,36 +21,32 @@ from fockseries import (
     truncate,
 )
 from fockseries.oracle import PrecisionConfig
-from fockseries.sweep import PRESETS, Preset
+from fockseries.sweep import PRESETS
 
 SPEC = penson_solomon_state(0.5, 3, 0.5)
-SERIES_FIELDS = ("spec", "rel_log_weights", "anchor", "tail_bound_rel", "converged")
-AMPLITUDE_FIELDS = ("matrix", "norm_tol", "spec")
 
 
 def records():
-    """One instance of every record type, built by its public constructor."""
+    """One instance of every type that compares by value, built by its public
+    constructor: an adaptive and a fixed-cutoff series among them."""
     series = truncate(SPEC, AdaptiveTruncation())
-    return [SPEC, AdaptiveTruncation(), FixedTruncation(10), photon_statistics(series),
+    return [SPEC, AdaptiveTruncation(), FixedTruncation(10), series,
+            truncate(SPEC, FixedTruncation(10)), photon_statistics(series),
             BeamSplitterSetting(), linear_entropy(series),
             SweepRequest("mandel_q", 0.5, 3, "out.csv"), PRESETS["fig2"].curves[0],
             PRESETS["fig2"], PrecisionConfig()]
 
 
-def containers():
-    """A deferred series, one holding its weights, and the amplitudes of a split."""
-    fixed = truncate(SPEC, FixedTruncation(10))
-    return [(truncate(SPEC, AdaptiveTruncation()), SERIES_FIELDS), (fixed, SERIES_FIELDS),
-            (split(fixed), AMPLITUDE_FIELDS)]
+def amplitudes():
+    return split(truncate(SPEC, FixedTruncation(10)))
 
 
-FIELD_CASES = [(r, r._fields) for r in records()] + containers()
+FIELD_CASES = [*records(), amplitudes()]
 
 
-@pytest.mark.parametrize("obj, fields", FIELD_CASES,
-                         ids=[type(obj).__name__ for obj, _ in FIELD_CASES])
-def test_fields_cannot_be_set_or_deleted(obj, fields):
-    for name in (*fields, "extra"):
+@pytest.mark.parametrize("obj", FIELD_CASES, ids=lambda obj: type(obj).__name__)
+def test_fields_cannot_be_set_or_deleted(obj):
+    for name in (*obj._fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(obj, name, 1)
         with pytest.raises(AttributeError):
@@ -60,12 +57,11 @@ def test_fields_cannot_be_set_or_deleted(obj, fields):
 @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
 def test_records_compare_by_value(record):
     """A record rebuilt from its fields, copied or unpickled equals the
-    original; all but a Preset, whose assumptions are a mapping, hash alike."""
+    original and hashes alike."""
     for twin in (type(record)(*record), copy.copy(record), copy.deepcopy(record),
                  pickle.loads(pickle.dumps(record))):
         assert twin == record and type(twin) is type(record)
-        if not isinstance(record, Preset):
-            assert hash(twin) == hash(record)
+        assert hash(twin) == hash(record)
 
 
 def test_state_spec_is_a_dict_key():
@@ -76,10 +72,31 @@ def test_state_spec_is_a_dict_key():
     assert (alpha, k, q) == (0.5, 3, 0.5)
 
 
-def test_containers_compare_by_identity():
-    for obj, _ in containers():
-        assert obj == obj and obj != copy.copy(obj)
-    assert truncate(SPEC, AdaptiveTruncation()) != truncate(SPEC, AdaptiveTruncation())
+def test_joint_amplitudes_compare_by_identity():
+    amps = amplitudes()
+    for twin in (JointAmplitudes(*amps), copy.copy(amps)):
+        assert amps == amps and amps != twin and not amps == twin
+    assert hash(amps) == object.__hash__(amps) and {amps: 1}[amps] == 1
+
+
+@pytest.mark.parametrize("policy", [AdaptiveTruncation(), FixedTruncation(10)],
+                         ids=["adaptive", "fixed"])
+def test_series_compare_by_value(policy):
+    assert truncate(SPEC, policy) == truncate(SPEC, policy)
+    assert hash(truncate(SPEC, policy)) == hash(truncate(SPEC, policy))
+    assert truncate(SPEC, policy) != truncate(SPEC._replace(alpha_abs=0.6), policy)
+
+
+@pytest.mark.parametrize("policy", [AdaptiveTruncation(), FixedTruncation(10)],
+                         ids=["adaptive", "fixed"])
+def test_shorter_series_reads_a_prefix(policy):
+    """A term's log-weight depends only on the terms between it and the
+    anchor, so a series cut at any m >= anchor reads the first m + 1
+    entries of a longer one, bit for bit."""
+    series = truncate(SPEC, policy)
+    longer = series._replace(n_max=series.n_max + 20).rel_log_weights
+    for m in range(series.anchor, series.n_max + 21):
+        assert series._replace(n_max=m).rel_log_weights.tobytes() == longer[:m + 1].tobytes()
 
 
 @pytest.mark.parametrize("record, changes", [
@@ -107,28 +124,12 @@ def test_replace_and_make_normalize_like_the_constructor():
 
 
 def test_preset_assumptions_are_read_only():
-    """Editing a preset's assumptions raised no error and rewrote every later
-    manifest of that preset in the process; now the mapping refuses edits, and
-    a Preset keeps a copy of the mapping it is given."""
+    """Editing a preset's assumptions once raised no error and rewrote every
+    later manifest of that preset in the process; they are now a tuple of
+    (key, text) pairs, which refuses edits."""
+    assumptions = PRESETS["fig2"].assumptions
     with pytest.raises(TypeError):
-        PRESETS["fig2"].assumptions["q"] = "changed"
-    assert "0.5 assumed" in PRESETS["fig2"].assumptions["q"]
-    given = {"q": "stated"}
-    preset = Preset("p", 0.5, (), given)
-    given["q"] = "changed"
-    assert dict(preset.assumptions) == {"q": "stated"}
-    assert dict(Preset("p", 0.5, ()).assumptions) == {}
-    assert Preset("p", 0.5, ()).assumptions is not Preset("r", 0.5, ()).assumptions
+        assumptions[0] = ("q", "changed")
+    assert "0.5 assumed" in dict(assumptions)["q"]
+    assert PRESETS["fig1-left"].assumptions == ()
 
-
-def test_deferred_series_copies_and_pickles():
-    """A series whose weights are not built yet stays so through copy.copy
-    and a pickle round trip, and then builds the same weights."""
-    want = truncate(SPEC, AdaptiveTruncation()).rel_log_weights.tobytes()
-    series = truncate(SPEC, AdaptiveTruncation())
-    for clone in (copy.copy(series), pickle.loads(pickle.dumps(series))):
-        assert "rel_log_weights" not in vars(clone)
-        assert (clone.spec, clone.anchor, clone.tail_bound_rel, clone.converged, clone.n_max) == (
-            series.spec, series.anchor, series.tail_bound_rel, series.converged, series.n_max)
-        assert clone.rel_log_weights.tobytes() == want
-    assert "rel_log_weights" not in vars(series)
