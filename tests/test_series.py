@@ -38,7 +38,6 @@ from fockseries.series import (
     TruncatedSeries,
     _closed_statistics,
     _first_subunit_ratio_index,
-    _log_weight,
     _point,
     _ratio,
     _ratio_constant,
@@ -692,8 +691,7 @@ class TestNormalizationLog:
     """ln N from the peak-relative sum, with no shift, against scipy's
     log-sum-exp of the log-weights: on 6949 series (a grid like this one,
     and random |alpha| in [1e-4, 100], k < 300, q in [0.3, 1], under both
-    policies) the
-    two differed by 0.75 ulp of max(1, |ln w_anchor|) at most."""
+    policies) the two differed by 0.75 ulp of max(1, |ln w_anchor|) at most."""
 
     @pytest.mark.parametrize("k", [0, 1, 3, 8, 50, 200])
     def test_matches_scipy_logsumexp(self, k):
@@ -706,7 +704,7 @@ class TestNormalizationLog:
             for policy in (AdaptiveTruncation(), FixedTruncation(10), FixedTruncation(300)):
                 got = truncate(spec, policy)
                 want = -0.5 * float(logsumexp(got.log_weights))
-                scale = max(1.0, abs(_log_weight(spec, got.anchor)))
+                scale = max(1.0, abs(log_weight(spec, got.anchor)))
                 assert abs(normalization_log(got) - want) <= 2.0 * np.finfo(np.float64).eps * scale
 
 
